@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -115,24 +116,29 @@ def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     out = _out(cfg)
     sites = exp.prepare_sites(cfg, _load_cohorts(cfg, out))
     checkpoints = _model_checkpoints(cfg, out)
-    cells = []
-    for model_name, params in sorted(checkpoints.items()):
-        for site_name, sd in sorted(sites.items()):
-            # Local models score foreign sites through that site's own
-            # local scaler; shared-scaler models use the federated one.
-            pp = sd.pp_local if model_name.startswith("local_") else sd.pp_fed
-            test_fm = pp.transform(sd.test)
-            val_fm = pp.transform(sd.val)
+    cells = {}
+    for site_name, sd in sorted(sites.items()):
+        # Local models score foreign sites through that site's own local
+        # scaler; shared-scaler models use the federated one. Each split is
+        # transformed once per scaler, and one site's matrices live at a time.
+        features = {}
+        for model_name, params in sorted(checkpoints.items()):
+            local = model_name.startswith("local_")
+            if local not in features:
+                pp = sd.pp_local if local else sd.pp_fed
+                features[local] = (pp.transform(sd.test), pp.transform(sd.val))
+            test_fm, val_fm = features[local]
             probs = predict(params, cfg.arch, test_fm)
             val_probs = predict(params, cfg.arch, val_fm)
             exp.write_scores_csv(
                 out / "scores" / f"{model_name}__{site_name}.csv",
                 test_fm.encounter_ids, probs, test_fm.labels)
-            cells.extend(exp.evaluate_scores(
+            cells[model_name, site_name] = exp.evaluate_scores(
                 model_name, site_name, probs, test_fm.labels,
-                val_probs, val_fm.labels, cfg.n_boot, cfg.seed))
+                val_probs, val_fm.labels, cfg.n_boot, cfg.seed)
             log.info("evaluated %s on %s", model_name, site_name)
-    exp.write_report(out / "reports", cells)
+    exp.write_report(out / "reports",
+                     [c for key in sorted(cells) for c in cells[key]])
     print(f"report written to {out / 'reports' / 'report.json'}")
     return 0
 
@@ -148,8 +154,13 @@ def cmd_compare(cfg: exp.ExperimentConfig, args) -> int:
     verdicts = []
 
     def auroc(model, site, outcome):
+        # a cell without a finite AUROC and CI (single-class test labels,
+        # no usable resample) has no delta to report
         cell = cells.get((model, site, outcome))
-        return cell["auroc"] if cell else None
+        if cell is None or any(math.isnan(cell["auroc"][k])
+                               for k in ("point", "ci_low", "ci_high")):
+            return None
+        return cell["auroc"]
 
     def overlap(a, b):
         return a["ci_low"] <= b["ci_high"] and b["ci_low"] <= a["ci_high"]

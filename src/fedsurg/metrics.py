@@ -4,6 +4,14 @@ tests with Bonferroni adjustment.
 
 AUROC is rank-based (ties as half-concordant); AUPRC is average precision
 with tied scores processed as one block (step integration, no trapezoids).
+
+The kernels sort once and work on tie blocks (runs of equal sorted values;
+each NaN is a block of its own) with cumulative sums, O(n log n) as in Sun
+& Xu's rank AUROC (IEEE SPL 2014). Every float comes from the same IEEE
+operations, in the same order, as a block-by-block loop: midranks are
+``(first + last) / 2.0 + 1.0``, average precision is a left-to-right
+``cumsum`` (never the pairwise ``np.sum``) and Youden's J uses exact
+integer counts. Results are bit-identical to those loops.
 """
 
 from __future__ import annotations
@@ -20,18 +28,19 @@ class DegenerateLabelsError(ValueError):
     """Metric needs both classes (or at least one positive) present."""
 
 
+def _block_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the last element of every tie block of a sorted array."""
+    changes = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(np.append(changes, True))
+
+
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with tied values receiving their average rank."""
     order = np.argsort(values, kind="mergesort")
+    ends = _block_ends(values[order])
+    starts = np.concatenate(([0], ends + 1))[:-1]
     ranks = np.empty(len(values), dtype=np.float64)
-    sv = values[order]
-    i = 0
-    while i < len(sv):
-        j = i
-        while j + 1 < len(sv) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -56,21 +65,11 @@ def auprc(scores, labels) -> float:
     if n_pos == 0:
         raise DegenerateLabelsError("AUPRC needs at least one positive")
     order = np.argsort(-s, kind="mergesort")
-    s, y = s[order], y[order]
-    ap = 0.0
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        block_tp = int(y[i:j + 1].sum())
-        tp += block_tp
-        fp += (j - i + 1) - block_tp
-        if block_tp:
-            ap += (block_tp / n_pos) * (tp / (tp + fp))
-        i = j + 1
-    return float(ap)
+    ends = _block_ends(s[order])
+    tp = np.cumsum(y[order])[ends]          # positives at or above each block
+    block_tp = np.diff(tp, prepend=0)
+    # blocks without a positive add exactly 0.0 to the running sum
+    return float(np.cumsum((block_tp / n_pos) * (tp / (ends + 1)))[-1])
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,19 @@ def pick_threshold(scores, labels) -> float:
     y = np.asarray(labels, dtype=bool)
     if y.all() or not y.any():
         raise DegenerateLabelsError("threshold selection needs both classes")
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    thresholds, inverse = np.unique(s, return_inverse=True)
+    scored = ~np.isnan(s)                   # NaN is never >= a threshold
+    pos = np.bincount(inverse[y & scored], minlength=len(thresholds))
+    neg = np.bincount(inverse[~y & scored], minlength=len(thresholds))
+    tp = np.cumsum(pos[::-1])[::-1]         # positives with s >= t
+    fp = np.cumsum(neg[::-1])[::-1]
+    j = tp / n_pos + (n_neg - fp) / n_neg - 1.0
     best_t, best_j = None, -np.inf
-    for t in np.unique(s):
-        m = confusion_at_threshold(s, y, t)
-        j = m.sensitivity + m.specificity - 1.0
-        if j > best_j + 1e-15:
-            best_t, best_j = float(t), j
+    for t, jt in zip(thresholds.tolist(), j.tolist()):
+        if jt > best_j + 1e-15:
+            best_t, best_j = t, jt
     return best_t
 
 
@@ -150,6 +156,9 @@ def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05
                 continue
         if not ok:
             skipped += 1
+    if not values:
+        # n_boot == 0, or no resample was usable: no interval to report
+        return BootstrapResult(point, math.nan, math.nan, skipped)
     lo, hi = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return BootstrapResult(point, float(lo), float(hi), skipped)
 
@@ -220,25 +229,3 @@ def bonferroni(p_values, m: int | None = None) -> list[float]:
         raise ValueError("p values must be in [0, 1]")
     return [min(1.0, p * m) for p in ps]
 
-
-@dataclass
-class MetricCI:
-    point: float
-    ci_low: float
-    ci_high: float
-
-
-@dataclass
-class OutcomeReport:
-    """Per-outcome evaluation row: discrimination plus threshold metrics."""
-
-    outcome: str
-    n_total: int
-    n_positives: int
-    threshold: float | None
-    auroc: MetricCI
-    auprc: MetricCI
-    sensitivity: MetricCI | None = None
-    specificity: MetricCI | None = None
-    ppv: MetricCI | None = None
-    npv: MetricCI | None = None

@@ -87,6 +87,35 @@ def test_compare_artifacts(pipeline):
         assert isinstance(v["ci_overlap"], bool)
 
 
+def test_compare_skips_cells_without_finite_auroc(tmp_path, capsys):
+    cfg_path, out = _config(tmp_path)
+    nan = float("nan")
+
+    def cell(model, point, ci_low, ci_high):
+        return {"model": model, "site": "a", "outcome": "icu",
+                "auroc": {"point": point, "ci_low": ci_low, "ci_high": ci_high,
+                          "n_skipped": 0}}
+
+    (out / "reports").mkdir(parents=True)
+    # report.json keeps NaN for single-class and no-resample cells
+    (out / "reports" / "report.json").write_text(json.dumps([
+        cell("scaffold", 0.8, 0.7, 0.9),
+        cell("fedavg", nan, nan, nan),       # single-class test labels
+        cell("central", 0.75, nan, nan),     # no usable resample
+        cell("local_b", 0.6, 0.5, 0.7),
+    ]))
+    assert cli.main(["compare", "--config", str(cfg_path)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    verdicts = json.loads((out / "reports" / "compare.json").read_text(),
+                          parse_constant=reject)
+    pairs = {(v["model_a"], v["model_b"]) for v in verdicts}
+    assert pairs == {("scaffold", "local_b")}
+    assert "nan" not in capsys.readouterr().out
+
+
 def test_single_paradigm_flags(pipeline, tmp_path):
     cfg_path, out = pipeline
     assert cli.main(["train", "--config", str(cfg_path),

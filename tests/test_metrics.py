@@ -6,9 +6,10 @@ arithmetic, so they share no code path with the implementations.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from fedsurg import metrics
+from fedsurg import experiment, metrics
 
 
 def _cases(n_cases=1000, max_n=50, seed=20260826):
@@ -117,6 +118,115 @@ def test_pick_threshold_maximizes_youden_lowest_tie():
         got_j = got_m.sensitivity + got_m.specificity - 1.0
         assert got_j == pytest.approx(best[0], abs=1e-12)
         assert t == pytest.approx(-best[1], abs=0)  # lowest among ties
+
+
+# --- exact equality with block-by-block loops -----------------------------
+#
+# The vectorised kernels promise the same bits as a loop over tie blocks,
+# not just agreement within a tolerance; these oracles are those loops.
+
+def _midranks_loop(values):
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sv = values[order]
+    i = 0
+    while i < len(sv):
+        j = i
+        while j + 1 < len(sv) and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def _auprc_loop(scores, labels):
+    y = np.asarray(labels, dtype=bool)
+    n_pos = int(y.sum())
+    order = np.argsort(-scores, kind="mergesort")
+    s, y = scores[order], y[order]
+    ap = 0.0
+    tp = i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[j + 1] == s[i]:
+            j += 1
+        block_tp = int(y[i:j + 1].sum())
+        tp += block_tp
+        if block_tp:
+            ap += (block_tp / n_pos) * (tp / (j + 1))
+        i = j + 1
+    return ap
+
+
+def _pick_threshold_scan(scores, labels):
+    best_t, best_j = None, -np.inf
+    for t in np.unique(scores):
+        m = metrics.confusion_at_threshold(scores, labels, t)
+        j = m.sensitivity + m.specificity - 1.0
+        if j > best_j + 1e-15:
+            best_t, best_j = float(t), j
+    return best_t
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _assert_bitwise(scores, labels):
+    assert _bits(metrics._midranks(scores)) == _bits(_midranks_loop(scores))
+    if labels.any():
+        assert _bits(metrics.auprc(scores, labels)) == _bits(
+            _auprc_loop(scores, labels))
+    if labels.any() and not labels.all():
+        ranks = _midranks_loop(scores)
+        n_pos = int(labels.sum())
+        u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+        assert _bits(metrics.auroc(scores, labels)) == _bits(
+            u / (n_pos * (len(labels) - n_pos)))
+        assert _bits(metrics.pick_threshold(scores, labels)) == _bits(
+            _pick_threshold_scan(scores, labels))
+
+
+@st.composite
+def _scored_samples(draw):
+    n = draw(st.integers(2, 2000) | st.integers(2, 40))
+    kind = draw(st.sampled_from(["equal", "grid7", "float32", "nan"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "equal":
+        scores = np.full(n, 0.25)
+    elif kind == "grid7":
+        scores = rng.choice(np.linspace(0, 1, 7), size=n)
+    else:
+        scores = rng.uniform(0, 1, n).astype(np.float32).astype(np.float64)
+        if kind == "nan":
+            scores[rng.uniform(0, 1, n) < 0.1] = np.nan
+    if draw(st.booleans()):
+        labels = np.zeros(n, dtype=bool)
+        labels[rng.integers(n)] = True          # a single positive
+    else:
+        labels = rng.uniform(0, 1, n) < draw(st.sampled_from([0.02, 0.3, 0.7]))
+    return scores, labels
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_scored_samples())
+def test_kernels_equal_tie_block_loops_bitwise(sample):
+    _assert_bitwise(*sample)
+
+
+def test_kernels_equal_loops_on_edge_cases():
+    _assert_bitwise(np.array([0.3, 0.7]), np.array([False, True]))
+    _assert_bitwise(np.array([0.7, 0.3]), np.array([False, True]))
+    _assert_bitwise(np.array([0.5, 0.5]), np.array([True, False]))
+    _assert_bitwise(np.full(50, 0.1), np.arange(50) % 3 == 0)
+    _assert_bitwise(np.array([np.nan, 0.2, np.nan, 0.2, 0.9]),
+                    np.array([True, False, False, True, False]))
+    _assert_bitwise(np.full(4, np.nan), np.array([True, False, True, False]))
+    assert len(metrics._midranks(np.array([]))) == 0
+    # J ties at 0.2 and 0.4; the lowest threshold wins
+    tied = np.array([0.1, 0.2, 0.3, 0.4]), np.array([False, True, False, True])
+    _assert_bitwise(*tied)
+    assert metrics.pick_threshold(*tied) == 0.2
 
 
 # --- Mann-Whitney ---------------------------------------------------------
@@ -244,3 +354,42 @@ def test_bootstrap_redraws_degenerate_resamples():
     r = metrics.bootstrap_ci(s, y, metrics.auroc, n_boot=200, seed=0)
     assert np.isfinite(r.ci_low) and np.isfinite(r.ci_high)
     assert 0 <= r.n_skipped < 200
+
+
+def _distinct_only(metric):
+    """``metric`` that rejects any sample with a repeated score: it accepts
+    distinct point-estimate scores and, in practice, no resample of them."""
+    def wrapped(scores, labels):
+        if len(np.unique(scores)) < len(scores):
+            raise metrics.DegenerateLabelsError("repeated score")
+        return metric(scores, labels)
+    return wrapped
+
+
+def test_bootstrap_without_usable_resamples_has_no_interval():
+    rng = np.random.default_rng(12)
+    s = rng.uniform(0, 1, 60)
+    y = np.arange(60) % 2
+    r = metrics.bootstrap_ci(s, y, _distinct_only(metrics.auroc), n_boot=25)
+    assert r.point == metrics.auroc(s, y)
+    assert np.isnan(r.ci_low) and np.isnan(r.ci_high)
+    assert r.n_skipped == 25
+    r = metrics.bootstrap_ci(s, y, metrics.auroc, n_boot=0)
+    assert r.point == metrics.auroc(s, y)
+    assert np.isnan(r.ci_low) and np.isnan(r.ci_high) and r.n_skipped == 0
+
+
+def test_evaluate_scores_without_usable_resamples(monkeypatch):
+    monkeypatch.setattr(metrics, "auroc", _distinct_only(metrics.auroc))
+    monkeypatch.setattr(metrics, "auprc", _distinct_only(metrics.auprc))
+    rng = np.random.default_rng(2)
+    probs = rng.uniform(0, 1, (80, 4))
+    labels = (rng.uniform(0, 1, (80, 4)) < probs).astype(float)
+    cells = experiment.evaluate_scores("m", "s", probs, labels, probs, labels,
+                                       n_boot=5, seed=0)
+    for c in cells:
+        for r in (c.auroc, c.auprc):
+            assert np.isfinite(r.point)
+            assert np.isnan(r.ci_low) and np.isnan(r.ci_high)
+            assert r.n_skipped == 5
+        assert c.threshold is not None
