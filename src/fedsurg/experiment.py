@@ -21,8 +21,9 @@ import yaml
 from . import metrics
 from .cohort import (Cohort, FeatureSpec, GenerationReport, GroundTruthModel,
                      OUTCOME_NAMES, SiteConfig, generate_site, make_ground_truth)
-from .federation import (FederationResult, RoundRecord, SiteWorker, TrainConfig,
-                         run_federation_inprocess)
+from .federation import (EarlyStopping, FederationResult, RoundRecord,
+                         SiteWorker, TrainConfig, run_federation_inprocess,
+                         validation_auroc)
 from .model import (ArchConfig, Batch, ModelParams, init_params, local_train,
                     predict)
 from .preprocess import Preprocessor, chronological_split, merge_scaler_stats
@@ -257,40 +258,18 @@ def train_single(arch: ArchConfig, train_fm: Batch, val_fm: Batch,
     """
     rng = _names_rng(cfg.seed, names)
     params = init_params(arch, cfg.seed)
-    best = dict(params)
-    best_score = -np.inf
-    best_round = -1
-    since_best = 0
+    best = EarlyStopping(dict(params), cfg.patience)
     history: list[RoundRecord] = []
     label = "+".join(sorted(names))
     for t in range(cfg.rounds):
         rep = local_train(params, arch, train_fm, cfg, rng)
         params = rep.params
-        val = _val_scores(params, arch, val_fm)
+        val = validation_auroc(predict(params, arch, val_fm), val_fm.labels)
         mean_val = float(np.mean(val))
         history.append(RoundRecord(t, val, {label: rep.mean_loss}, mean_val))
-        if mean_val > best_score:
-            best_score = mean_val
-            best = dict(params)
-            best_round = t
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-    return SingleResult(best, best_round, best_score, history)
-
-
-def _val_scores(params: ModelParams, arch: ArchConfig, val_fm: Batch
-                ) -> tuple[float, ...]:
-    probs = predict(params, arch, val_fm)
-    out = []
-    for k in range(val_fm.labels.shape[1]):
-        try:
-            out.append(metrics.auroc(probs[:, k], val_fm.labels[:, k]))
-        except metrics.DegenerateLabelsError:
-            out.append(0.5)
-    return tuple(out)
+        if best.offer(t, mean_val, params):
+            break
+    return SingleResult(best.params, best.round, best.score, history)
 
 
 def run_local_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
@@ -330,12 +309,10 @@ def build_workers(cfg: ExperimentConfig, sites: dict[str, SiteData],
 
 
 def run_federated_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
-                           algo: str, record_params: bool = False
-                           ) -> FederationResult:
+                           algo: str) -> FederationResult:
     workers = build_workers(cfg, sites, algo)
     return run_federation_inprocess(cfg.arch, algo,
-                                    federated_train_config(cfg, algo),
-                                    workers, record_params=record_params)
+                                    federated_train_config(cfg, algo), workers)
 
 
 # --- evaluation -----------------------------------------------------------

@@ -1,27 +1,28 @@
 """Federated round orchestration: FedAvg, FedProx and SCAFFOLD.
 
-The coordinator and site workers speak only wire messages, so the same
-code runs over in-process queues (deterministic tests) and TCP sockets
-(one process per site). Full participation every round; aggregation
-iterates clients in sorted id order so results are independent of
-arrival order.
+The coordinator and site workers speak only wire messages. A site worker
+is a state machine that answers one message at a time, so the same
+coordinator drives it either in process, one site after another through
+the frame codec on the calling thread, or over TCP sockets (one process
+per site). Full participation every round; aggregation iterates clients
+in sorted id order so results are independent of arrival order.
 """
 
 from __future__ import annotations
 
-import threading
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .cohort import Cohort, OUTCOME_NAMES
+from .cohort import Cohort
 from .model import (ArchConfig, ModelParams, arch_fingerprint, init_params,
                     local_train, predict)
 from .preprocess import Preprocessor, merge_scaler_stats
 from .wire import (ChannelClosed, ClientUpdate, GlobalModel, GlobalScaler,
-                   Hello, RoundAck, ScalerStats, Shutdown, quantize32)
+                   Hello, Message, RoundAck, ScalerStats, Shutdown,
+                   decode_frame, encode_frame)
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold")
 
@@ -90,14 +91,6 @@ def fedavg_aggregate(updates: list[ClientUpdate]) -> ModelParams:
     return out
 
 
-def scaffold_local_step(w: ModelParams, g: ModelParams, c: ModelParams,
-                        c_i: ModelParams, lr: float) -> ModelParams:
-    """w - lr * (g - c_i + c), elementwise."""
-    if not (w.keys() == g.keys() == c.keys() == c_i.keys()):
-        raise FederationError("scaffold step operand layouts differ")
-    return {k: w[k] - lr * (g[k] - c_i[k] + c[k]) for k in w}
-
-
 def scaffold_client_finalize(c_i: ModelParams, c: ModelParams,
                              x_global: ModelParams, y_local: ModelParams,
                              steps: int, lr: float) -> ModelParams:
@@ -148,10 +141,9 @@ def scaffold_server_update(state: ScaffoldState, x: ModelParams,
     for k in x:
         drift = sum(u.params[k] - x[k] for u in ordered) / n
         new_x[k] = x[k] + server_lr * drift
-    frac = len(ordered) / len(registered)
     for k in state.server_control:
         mean_delta = sum(u.control_delta[k] for u in ordered) / n
-        state.server_control[k] = state.server_control[k] + frac * mean_delta
+        state.server_control[k] = state.server_control[k] + mean_delta
     for u in ordered:
         ctrl = state.client_controls[u.client_id]
         state.client_controls[u.client_id] = {
@@ -167,6 +159,28 @@ class RoundRecord:
     val_auroc: tuple[float, ...]        # per outcome, mean over clients
     train_loss: dict[str, float]        # per client
     mean_val: float
+
+
+@dataclass
+class EarlyStopping:
+    """Validation-score model selection with patience: keeps the first
+    parameters with the highest score, replaced only by a strict
+    improvement."""
+    params: ModelParams
+    patience: int
+    score: float = -np.inf
+    round: int = -1
+    since_best: int = 0
+
+    def offer(self, t: int, score: float, params: ModelParams) -> bool:
+        """Record round t's score; True once ``patience`` rounds in a row
+        have not improved on the best."""
+        if score > self.score:
+            self.params, self.score, self.round = dict(params), score, t
+            self.since_best = 0
+        else:
+            self.since_best += 1
+        return self.since_best >= self.patience
 
 
 @dataclass
@@ -245,10 +259,7 @@ class Coordinator:
                     if self.algo == "scaffold" else None)
         history: list[RoundRecord] = []
         trace: list[ModelParams] = []
-        best_params = dict(params)
-        best_score = -np.inf
-        best_round = -1
-        since_best = 0
+        best = EarlyStopping(dict(params), self.cfg.patience)
 
         for t in range(self.cfg.rounds):
             control = scaffold.server_control if scaffold else None
@@ -267,13 +278,8 @@ class Coordinator:
             history.append(RoundRecord(
                 t, tuple(float(v) for v in val),
                 {u.client_id: float(u.train_loss) for u in updates}, mean_val))
-            if mean_val > best_score:
-                best_score = mean_val
-                best_params = dict(params)  # the model the clients just scored
-                best_round = t
-                since_best = 0
-            else:
-                since_best += 1
+            # the clients scored the model they were sent, not the aggregate
+            stop = best.offer(t, mean_val, params)
 
             if self.algo == "scaffold":
                 params = scaffold_server_update(
@@ -282,12 +288,12 @@ class Coordinator:
                 params = fedavg_aggregate(updates)
             if self.record_params:
                 trace.append(dict(params))
-            if since_best >= self.cfg.patience:
+            if stop:
                 break
 
         for cid in self.expected:
             by_id[cid].send(Shutdown())
-        return FederationResult(best_params, best_round, best_score, params,
+        return FederationResult(best.params, best.round, best.score, params,
                                 history, scaffold, trace, (gmins, gmaxs))
 
 
@@ -298,7 +304,10 @@ def client_rng(seed: int, client_id: str, round_index: int) -> np.random.Generat
     return np.random.default_rng([seed, zlib.crc32(client_id.encode()), round_index])
 
 
-def _val_auroc(probs: np.ndarray, labels: np.ndarray) -> tuple[float, ...]:
+def validation_auroc(probs: np.ndarray, labels: np.ndarray
+                     ) -> tuple[float, ...]:
+    """Per-outcome AUROC for model selection; 0.5 for an outcome whose
+    labels are single-class."""
     out = []
     for k in range(labels.shape[1]):
         try:
@@ -309,7 +318,12 @@ def _val_auroc(probs: np.ndarray, labels: np.ndarray) -> tuple[float, ...]:
 
 
 class SiteWorker:
-    """Client side: local preprocessing, local training, control variates."""
+    """Client side: local preprocessing, local training, control variates.
+
+    A state machine over the protocol: ``hello`` opens a session, then
+    ``handle`` takes each coordinator message in turn and returns the
+    reply, if any. A message out of protocol order raises FederationError.
+    """
 
     def __init__(self, site_name: str, train: Cohort, val: Cohort,
                  arch: ArchConfig, algo: str, cfg: TrainConfig,
@@ -323,93 +337,108 @@ class SiteWorker:
         self.algo = algo
         self.cfg = cfg
         self.surgeon_vocab_size = surgeon_vocab_size
+        # the message type the protocol allows next; None outside a session
+        self._expect: type | None = None
+        self._c_i: ModelParams | None = None  # SCAFFOLD client control
+
+    def hello(self) -> Hello:
+        self._expect = RoundAck
+        self._c_i = None
+        return Hello(self.site_name, arch_fingerprint(self.arch))
+
+    def handle(self, msg: Message) -> Message | None:
+        if isinstance(msg, Shutdown):
+            self._expect = None
+            return None
+        if self._expect is None or not isinstance(msg, self._expect):
+            want = self._expect.__name__ if self._expect else "no message"
+            raise FederationError(
+                f"site {self.site_name!r} expected {want}, "
+                f"got {type(msg).__name__}")
+        if isinstance(msg, RoundAck):
+            self._expect = GlobalScaler
+            return ScalerStats(*self._preprocessor().fit(self.train).scaler_stats())
+        if isinstance(msg, GlobalScaler):
+            pp = self._preprocessor().fit(
+                self.train, scaler_override=(msg.mins, msg.maxs))
+            self._train_fm = pp.transform(self.train)
+            self._val_fm = pp.transform(self.val)
+            self._expect = GlobalModel
+            return None
+        return self._local_round(msg)
 
     def run(self, channel) -> None:
-        channel.send(Hello(self.site_name, arch_fingerprint(self.arch)))
-        ack = channel.recv()
-        if isinstance(ack, Shutdown):
-            return
-        if not isinstance(ack, RoundAck):
-            raise FederationError(f"handshake failed: got {type(ack).__name__}")
+        """Answer the coordinator over ``channel`` until it sends Shutdown."""
+        channel.send(self.hello())
+        while not isinstance(msg := channel.recv(), Shutdown):
+            reply = self.handle(msg)
+            if reply is not None:
+                channel.send(reply)
 
+    def _preprocessor(self) -> Preprocessor:
         vocabs = tuple(v for v, _ in self.arch.high_card_specs)
-        local_pp = Preprocessor(vocabs, self.surgeon_vocab_size).fit(self.train)
-        channel.send(ScalerStats(*local_pp.scaler_stats()))
-        scaler = channel.recv()
-        if isinstance(scaler, Shutdown):
-            return
-        if not isinstance(scaler, GlobalScaler):
-            raise FederationError("expected GlobalScaler")
-        pp = Preprocessor(vocabs, self.surgeon_vocab_size).fit(
-            self.train, scaler_override=(scaler.mins, scaler.maxs))
-        train_fm = pp.transform(self.train)
-        val_fm = pp.transform(self.val)
+        return Preprocessor(vocabs, self.surgeon_vocab_size)
 
-        c_i = None
-        while True:
-            msg = channel.recv()
-            if isinstance(msg, Shutdown):
-                return
-            if not isinstance(msg, GlobalModel):
-                raise FederationError(f"unexpected {type(msg).__name__} mid-round")
-            x = msg.params
-            val_scores = _val_auroc(predict(x, self.arch, val_fm), val_fm.labels)
-            rng = client_rng(self.cfg.seed, self.site_name, msg.round)
-            control_delta = None
-            if self.algo == "scaffold":
-                if c_i is None:
-                    c_i = zeros_like_params(x)
-                c = msg.server_control
-                offset = {k: c[k] - c_i[k] for k in c}
-                rep = local_train(x, self.arch, train_fm, self.cfg, rng,
-                                  grad_offset=offset)
-                c_new = scaffold_client_finalize(
-                    c_i, c, x, rep.params, rep.steps_taken, self.cfg.lr)
-                control_delta = {k: c_new[k] - c_i[k] for k in c_i}
-                c_i = c_new
-            elif self.algo == "fedprox":
-                rep = local_train(x, self.arch, train_fm, self.cfg, rng,
-                                  prox=(self.cfg.mu, x))
-            else:
-                rep = local_train(x, self.arch, train_fm, self.cfg, rng)
-            channel.send(ClientUpdate(
-                self.site_name, msg.round, rep.params, rep.n_samples,
-                rep.steps_taken, control_delta, val_scores, rep.mean_loss))
+    def _local_round(self, msg: GlobalModel) -> ClientUpdate:
+        x = msg.params
+        val_scores = validation_auroc(predict(x, self.arch, self._val_fm),
+                                      self._val_fm.labels)
+        rng = client_rng(self.cfg.seed, self.site_name, msg.round)
+        control_delta = None
+        if self.algo == "scaffold":
+            c_i = self._c_i if self._c_i is not None else zeros_like_params(x)
+            c = msg.server_control
+            offset = {k: c[k] - c_i[k] for k in c}
+            rep = local_train(x, self.arch, self._train_fm, self.cfg, rng,
+                              grad_offset=offset)
+            c_new = scaffold_client_finalize(
+                c_i, c, x, rep.params, rep.steps_taken, self.cfg.lr)
+            control_delta = {k: c_new[k] - c_i[k] for k in c_i}
+            self._c_i = c_new
+        elif self.algo == "fedprox":
+            rep = local_train(x, self.arch, self._train_fm, self.cfg, rng,
+                              prox=(self.cfg.mu, x))
+        else:
+            rep = local_train(x, self.arch, self._train_fm, self.cfg, rng)
+        return ClientUpdate(
+            self.site_name, msg.round, rep.params, rep.n_samples,
+            rep.steps_taken, control_delta, val_scores, rep.mean_loss)
+
+
+class LoopbackChannel:
+    """The coordinator's end of an in-process link to one site worker.
+
+    Messages cross as frame bytes in both directions, so the float32
+    quantization is exactly that of a socket. ``send`` runs the worker's
+    handler on the calling thread and queues its reply for ``recv``.
+    """
+
+    def __init__(self, worker: SiteWorker):
+        self.worker = worker
+        self._replies = [encode_frame(worker.hello())]
+
+    def send(self, msg: Message) -> None:
+        msg, _ = decode_frame(encode_frame(msg))
+        try:
+            reply = self.worker.handle(msg)
+            if reply is not None:
+                self._replies.append(encode_frame(reply))
+        except Exception as exc:
+            raise ClientFailure(self.worker.site_name, exc) from exc
+
+    def recv(self) -> Message:
+        if not self._replies:
+            raise FederationError(
+                f"site {self.worker.site_name!r} has no reply to receive")
+        msg, _ = decode_frame(self._replies.pop(0))
+        return msg
 
 
 def run_federation_inprocess(arch: ArchConfig, algo: str, cfg: TrainConfig,
                              workers: dict[str, SiteWorker],
                              record_params: bool = False) -> FederationResult:
-    """Coordinator in the calling thread, one thread per site worker."""
-    from .wire import queue_channel_pair
-
-    server_chans = []
-    threads = []
-    errors: list[tuple[str, Exception]] = []
-
-    def run_worker(worker: SiteWorker, chan):
-        try:
-            worker.run(chan)
-        except Exception as exc:  # surfaced after join
-            errors.append((worker.site_name, exc))
-
-    for cid in sorted(workers):
-        server_side, worker_side = queue_channel_pair()
-        server_chans.append(server_side)
-        th = threading.Thread(target=run_worker, args=(workers[cid], worker_side),
-                              daemon=True)
-        threads.append(th)
-        th.start()
-    coordinator = Coordinator(arch, algo, cfg, server_chans,
-                              sorted(workers), record_params)
-    try:
-        result = coordinator.run()
-    finally:
-        for chan in server_chans:
-            chan.close()
-        for th in threads:
-            th.join(timeout=60.0)
-    if errors:
-        cid, exc = errors[0]
-        raise ClientFailure(cid, exc)
-    return result
+    """Coordinator and every site worker, in sorted site order, on the
+    calling thread."""
+    channels = [LoopbackChannel(workers[cid]) for cid in sorted(workers)]
+    return Coordinator(arch, algo, cfg, channels, sorted(workers),
+                       record_params).run()

@@ -11,7 +11,6 @@ cross the wire.
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import time
@@ -239,7 +238,8 @@ def decode_frame(buf: bytes) -> tuple[Message | None, int]:
     """Parse one frame from the head of ``buf``.
 
     Returns (message, bytes consumed), or (None, 0) when more bytes are
-    needed. Raises ProtocolError / CorruptionError on malformed input.
+    needed. Raises ProtocolError / CorruptionError on malformed input and
+    FrameSizeError when the header declares MAX_PAYLOAD bytes or more.
     """
     if len(buf) < HEADER_LEN:
         return None, 0
@@ -249,6 +249,8 @@ def decode_frame(buf: bytes) -> tuple[Message | None, int]:
         raise ProtocolError(f"unsupported protocol version {buf[4]}")
     msg_type = buf[5]
     (payload_len,) = struct.unpack("<I", buf[6:10])
+    if payload_len >= MAX_PAYLOAD:
+        raise FrameSizeError(f"header declares {payload_len} payload bytes")
     total = HEADER_LEN + payload_len + 4
     if len(buf) < total:
         return None, 0
@@ -279,43 +281,6 @@ def messages_equal(a: Message, b: Message) -> bool:
 
 class ChannelClosed(RuntimeError):
     pass
-
-
-class QueueChannel:
-    """One endpoint of an in-process byte channel.
-
-    Every message is encoded to frame bytes and decoded on the far side,
-    so the in-process transport applies exactly the same float32
-    quantization as the socket transport.
-    """
-
-    def __init__(self, send_q: queue.Queue, recv_q: queue.Queue):
-        self._send_q = send_q
-        self._recv_q = recv_q
-
-    def send(self, msg: Message) -> None:
-        self._send_q.put(encode_frame(msg))
-
-    def recv(self, timeout: float | None = 300.0) -> Message:
-        try:
-            data = self._recv_q.get(timeout=timeout)
-        except queue.Empty:
-            raise ChannelClosed("in-process channel timed out")
-        if data is None:
-            raise ChannelClosed("channel closed")
-        msg, consumed = decode_frame(data)
-        if msg is None or consumed != len(data):
-            raise ProtocolError("in-process frame mangled")
-        return msg
-
-    def close(self) -> None:
-        self._send_q.put(None)
-
-
-def queue_channel_pair() -> tuple[QueueChannel, QueueChannel]:
-    a2b: queue.Queue = queue.Queue()
-    b2a: queue.Queue = queue.Queue()
-    return QueueChannel(a2b, b2a), QueueChannel(b2a, a2b)
 
 
 class SocketChannel:

@@ -1,6 +1,8 @@
 """Aggregation oracles, SCAFFOLD invariants and the in-process
 federation loop."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from fedsurg import cohort as C
 from fedsurg import federation as F
 from fedsurg import model as M
 from fedsurg.preprocess import Preprocessor, chronological_split
-from fedsurg.wire import ClientUpdate, quantize32
+from fedsurg.wire import (ClientUpdate, GlobalModel, GlobalScaler, RoundAck,
+                          ScalerStats, quantize32)
 from fedsurg.experiment import shared_scaler
 from conftest import SMALL_ARCH, random_batch
 
@@ -95,14 +98,6 @@ def test_scaffold_server_requires_full_participation():
                                           for k, v in x.items()})]
     with pytest.raises(F.FederationError):
         F.scaffold_server_update(state, x, only_a, server_lr=1.0)
-
-
-def test_scaffold_local_step_oracle():
-    w, g, c, c_i = _params(1), _params(2), _params(3), _params(4)
-    out = F.scaffold_local_step(w, g, c, c_i, lr=0.05)
-    for k in out:
-        assert np.allclose(out[k], w[k] - 0.05 * (g[k] - c_i[k] + c[k]),
-                           atol=1e-15)
 
 
 def test_train_config_validation():
@@ -233,3 +228,52 @@ def test_client_rng_streams_are_keyed():
     assert not np.array_equal(a, F.client_rng(1, "siteB", 0).random(3))
     assert not np.array_equal(a, F.client_rng(1, "siteA", 1).random(3))
     assert not np.array_equal(a, F.client_rng(2, "siteA", 0).random(3))
+
+
+def test_inprocess_sites_run_on_the_calling_thread(monkeypatch):
+    callers = []
+    handle = F.SiteWorker.handle
+
+    def spy(self, msg):
+        callers.append(threading.get_ident())
+        return handle(self, msg)
+
+    monkeypatch.setattr(F.SiteWorker, "handle", spy)
+    cfg = _cfg(rounds=2)
+    F.run_federation_inprocess(SMALL_ARCH, "scaffold", cfg,
+                               _workers("scaffold", cfg))
+    # per site: RoundAck, GlobalScaler, two GlobalModels, Shutdown
+    assert callers == [threading.get_ident()] * 10
+
+
+def test_worker_failure_mid_round_names_the_site(monkeypatch):
+    local_train = F.local_train
+    calls = []
+
+    def failing(*args, **kw):
+        calls.append(None)
+        if len(calls) == 4:  # sites train in sorted order: "b" in round 1
+            raise MemoryError("out of memory")
+        return local_train(*args, **kw)
+
+    monkeypatch.setattr(F, "local_train", failing)
+    cfg = _cfg(rounds=3)
+    with pytest.raises(F.ClientFailure) as info:
+        F.run_federation_inprocess(SMALL_ARCH, "fedavg", cfg,
+                                   _workers("fedavg", cfg))
+    assert info.value.client_id == "b"
+    assert isinstance(info.value.cause, MemoryError)
+    assert "'b'" in str(info.value)
+
+
+def test_worker_rejects_model_before_scaler():
+    cfg = _cfg(rounds=1)
+    worker = _workers("fedavg", cfg, names=("a",))["a"]
+    with pytest.raises(F.FederationError):
+        worker.handle(RoundAck(0))  # no session opened by hello()
+    worker.hello()
+    stats = worker.handle(RoundAck(0))
+    assert isinstance(stats, ScalerStats)
+    with pytest.raises(F.FederationError):
+        worker.handle(GlobalModel(0, M.init_params(SMALL_ARCH, 0)))
+    assert worker.handle(GlobalScaler(stats.mins, stats.maxs)) is None

@@ -138,20 +138,6 @@ def test_frame_carries_no_raw_feature_rows():
     assert len(frame) == expected
 
 
-def test_queue_channel_pair_quantizes():
-    a, b = W.queue_channel_pair()
-    params = _params(9)
-    a.send(W.GlobalModel(0, params))
-    got = b.recv(timeout=5)
-    assert isinstance(got, W.GlobalModel)
-    for k in params:
-        assert np.array_equal(got.params[k], W.quantize32(params)[k])
-        assert not np.array_equal(got.params[k], params[k])
-    a.close()
-    with pytest.raises(W.ChannelClosed):
-        b.recv(timeout=5)
-
-
 def test_socket_channel_reassembles_chunks():
     left, right = socket.socketpair()
     chan = W.SocketChannel(right)
@@ -179,3 +165,7 @@ def test_oversized_frame_rejected(monkeypatch):
     monkeypatch.setattr(W, "MAX_PAYLOAD", 64)
     with pytest.raises(W.FrameSizeError):
         W.encode_frame(W.GlobalModel(0, {"x": np.zeros(100)}))
+    # a header alone may not make the reader wait for 4 GiB
+    header = W.MAGIC + bytes([W.VERSION, 7]) + struct.pack("<I", 2**32 - 1)
+    with pytest.raises(W.FrameSizeError):
+        W.decode_frame(header)
