@@ -54,13 +54,13 @@ def cmd_generate(cfg: exp.ExperimentConfig, args) -> int:
         prev = cohort.prevalence()
         manifest["sites"][name] = {
             "role": cfg.site(name).role,
-            "n_encounters": len(cohort.records),
+            "n_encounters": len(cohort),
             "prevalence": {o: prev[i] for i, o in enumerate(OUTCOME_NAMES)},
             "exclusions": asdict(report.exclusions),
             "intercepts": list(report.intercepts),
         }
         log.info("generated %s: %d encounters, prevalence %s",
-                 name, len(cohort.records),
+                 name, len(cohort),
                  ", ".join(f"{o}={prev[i]:.3f}"
                            for i, o in enumerate(OUTCOME_NAMES)))
     with open(out / "manifest.json", "w") as fh:

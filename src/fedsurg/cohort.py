@@ -1,4 +1,7 @@
-"""Deterministic synthetic multi-site cohort generator.
+"""Deterministic synthetic multi-site cohort generator, held as columns.
+
+A Cohort is one struct of arrays, row i of every field being encounter i;
+a missing value is NaN in the continuous and -1 in the categorical matrix.
 
 Each site draws features under its own covariate shift, labels come from
 a shared latent linear model (plus a small per-site coefficient
@@ -14,7 +17,9 @@ from __future__ import annotations
 import csv
 import datetime
 import zlib
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 from scipy.special import expit
@@ -27,54 +32,67 @@ class CalibrationError(RuntimeError):
     """Target prevalence unreachable within the intercept search bracket."""
 
 
-@dataclass(frozen=True)
-class Surgery:
-    procedure_code: int
-    work_units: float
-    surgery_date: int  # days since epoch
+# One row of a Cohort, as ``Cohort.records`` shows it: dates are days since
+# the epoch, continuous holds nan and categorical None for a missing value,
+# surgeries holds the index surgery alone and outcomes are icu, mv, aki,
+# mortality as 0/1.
+Surgery = namedtuple("Surgery", "procedure_code work_units surgery_date")
+EncounterRecord = namedtuple(
+    "EncounterRecord", "patient_id encounter_id admission_date age esrd "
+    "surgeries surgeon_id continuous binary categorical outcomes")
 
 
-@dataclass
-class EncounterRecord:
-    patient_id: str
-    encounter_id: str
-    admission_date: int  # days since epoch
-    age: float
-    esrd: bool
-    surgeries: tuple[Surgery, ...]
-    surgeon_id: int
-    continuous: np.ndarray          # nan marks a missing value
-    binary: np.ndarray
-    categorical: tuple             # int code or None for missing
-    outcomes: np.ndarray           # icu, mv, aki, mortality as 0/1
-
-    def __eq__(self, other):
-        if not isinstance(other, EncounterRecord):
-            return NotImplemented
-        return (
-            (self.patient_id, self.encounter_id, self.admission_date,
-             self.esrd, self.surgeries, self.surgeon_id, self.categorical)
-            == (other.patient_id, other.encounter_id, other.admission_date,
-                other.esrd, other.surgeries, other.surgeon_id, other.categorical)
-            and self.age == other.age
-            and np.array_equal(self.continuous, other.continuous, equal_nan=True)
-            and np.array_equal(self.binary, other.binary)
-            and np.array_equal(self.outcomes, other.outcomes)
-        )
-
-
-@dataclass
+@dataclass(eq=False)
 class Cohort:
     site_name: str
-    records: list[EncounterRecord]
+    patient_id: np.ndarray       # str
+    encounter_id: np.ndarray     # str
+    admission_date: np.ndarray   # int64, days since epoch
+    age: np.ndarray              # float64
+    esrd: np.ndarray             # bool
+    surgeon_id: np.ndarray       # int64
+    procedure_code: np.ndarray   # int64, index surgery
+    work_units: np.ndarray       # float64, index surgery
+    surgery_date: np.ndarray     # int64, index surgery, days since epoch
+    continuous: np.ndarray       # n x n_cont float64, nan for missing
+    binary: np.ndarray           # n x n_bin int8
+    categorical: np.ndarray      # n x n_cat int64, -1 for missing
+    outcomes: np.ndarray         # n x 4 int8: icu, mv, aki, mortality
 
     def __len__(self):
-        return len(self.records)
+        return len(self.patient_id)
+
+    def take(self, idx) -> "Cohort":
+        return Cohort(self.site_name, *(getattr(self, f)[idx] for f in _COLUMNS))
+
+    @classmethod
+    def concat(cls, site_name: str, parts: list["Cohort"]) -> "Cohort":
+        return cls(site_name, *(np.concatenate([getattr(p, f) for p in parts])
+                                for f in _COLUMNS))
 
     def prevalence(self) -> np.ndarray:
-        if not self.records:
+        if not len(self):
             return np.zeros(len(OUTCOME_NAMES))
-        return np.stack([r.outcomes for r in self.records]).mean(axis=0)
+        return self.outcomes.mean(axis=0)
+
+    @property
+    def records(self) -> tuple[EncounterRecord, ...]:
+        """Row view of a copy of the columns, built on each access."""
+        c = self.take(np.arange(len(self)))
+        surgeries = [(Surgery(*s),) for s in zip(
+            c.procedure_code.tolist(), c.work_units.tolist(),
+            c.surgery_date.tolist())]
+        cats = [tuple(None if v < 0 else v for v in row)
+                for row in c.categorical.tolist()]
+        return tuple(map(
+            EncounterRecord, c.patient_id.tolist(), c.encounter_id.tolist(),
+            c.admission_date.tolist(), c.age.tolist(), c.esrd.tolist(),
+            surgeries, c.surgeon_id.tolist(), c.continuous, c.binary, cats,
+            c.outcomes))
+
+
+# the per-encounter fields of a Cohort, in CSV column order
+_COLUMNS = tuple(f.name for f in fields(Cohort))[1:]
 
 
 @dataclass(frozen=True)
@@ -182,79 +200,80 @@ def _scores(cont, binary, surgeons, lat: _SiteLatents) -> np.ndarray:
     return x @ lat.coef.T + lat.surgeon_effects[surgeons][:, None]
 
 
+# how often calibrate_intercept may double a bracket that misses the target
+_BRACKET_DOUBLINGS = 6
+
+
 def calibrate_intercept(target: float, scores: np.ndarray,
                         bracket: tuple[float, float] = (-20.0, 20.0)) -> float:
     """Bisect for the intercept b with mean(sigmoid(scores + b)) == target.
 
     ``scores`` is a Monte-Carlo sample from the site's score distribution;
     the mean is monotone in b, so bisection converges whenever the bracket
-    straddles the target.
+    straddles the target. A bracket that does not is doubled, at most
+    ``_BRACKET_DOUBLINGS`` times, before giving up.
     """
     if not 0.0 < target < 1.0:
         raise CalibrationError(f"target {target} outside (0, 1)")
+
+    def mean(b: float) -> float:
+        return expit(scores + b).mean()
+
     lo, hi = bracket
-    f_lo = expit(scores + lo).mean() - target
-    f_hi = expit(scores + hi).mean() - target
-    if f_lo > 0 or f_hi < 0:
-        raise CalibrationError(
-            f"target prevalence {target} not bracketed by intercepts {bracket}")
+    for _ in range(_BRACKET_DOUBLINGS + 1):
+        if mean(lo) <= target <= mean(hi):
+            break
+        lo, hi = 2.0 * lo, 2.0 * hi
+    else:
+        raise CalibrationError(f"target prevalence {target} not bracketed by "
+                               f"intercepts {bracket} doubled "
+                               f"{_BRACKET_DOUBLINGS} times")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if expit(scores + mid).mean() < target:
-            lo = mid
+        # once mid equals the end it replaces, no later step changes anything
+        if mean(mid) < target:
+            lo, stalled = mid, mid == lo
         else:
-            hi = mid
+            hi, stalled = mid, mid == hi
+        if stalled:
+            break
     return 0.5 * (lo + hi)
 
 
-def select_index_surgery(record: EncounterRecord) -> EncounterRecord:
-    """Keep only the surgery with maximal work units.
+def select_index_surgeries(encounter: np.ndarray, procedure_code: np.ndarray,
+                           work_units: np.ndarray, surgery_date: np.ndarray,
+                           n_encounters: int) -> np.ndarray:
+    """Per encounter, the position of its surgery with maximal work units
+    (-1 for an encounter without surgeries).
 
     Ties break to the earliest surgery date, then the lowest procedure
     code, so selection is deterministic.
     """
-    if not record.surgeries:
-        raise ValueError(f"encounter {record.encounter_id} has no surgeries")
-    chosen = min(record.surgeries,
-                 key=lambda s: (-s.work_units, s.surgery_date, s.procedure_code))
-    return replace(record, surgeries=(chosen,))
-
-
-def apply_exclusions(raw: list[EncounterRecord], site_name: str = ""
-                     ) -> tuple[Cohort, ExclusionReport]:
-    """Drop under-18, ESRD and surgery-free encounters, counting each."""
-    kept = []
-    n_age = n_esrd = n_surg = 0
-    for rec in raw:
-        if rec.age < 18.0:
-            n_age += 1
-        elif rec.esrd:
-            n_esrd += 1
-        elif not rec.surgeries:
-            n_surg += 1
-        else:
-            kept.append(rec)
-    report = ExclusionReport(len(raw), n_age, n_esrd, n_surg, len(kept))
-    return Cohort(site_name, kept), report
+    order = np.lexsort((procedure_code, surgery_date, -work_units, encounter))
+    _, first_of_block = np.unique(encounter[order], return_index=True)
+    first = order[first_of_block]
+    chosen = np.full(n_encounters, -1, dtype=np.int64)
+    chosen[encounter[first]] = first
+    return chosen
 
 
 def inject_missingness(cohort: Cohort, rate: float, seed: int) -> Cohort:
     """Blank each continuous/categorical value independently with ``rate``.
 
-    Labels, demographics and the surgery record are never blanked.
+    Labels, demographics and the surgery record are never blanked. One
+    uniform draw per cell, row by row: continuous cells, then categorical.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("missing rate must lie in [0, 1)")
     if rate == 0.0:
         return cohort
     rng = np.random.default_rng([seed, _site_key(cohort.site_name), 0x3355])
-    out = []
-    for rec in cohort.records:
-        cont = rec.continuous.copy()
-        cont[rng.random(cont.shape) < rate] = np.nan
-        cats = tuple(None if rng.random() < rate else c for c in rec.categorical)
-        out.append(replace(rec, continuous=cont, categorical=cats))
-    return Cohort(cohort.site_name, out)
+    n_cont = cohort.continuous.shape[1]
+    blank = rng.random((len(cohort), n_cont + cohort.categorical.shape[1])) < rate
+    return replace(
+        cohort,
+        continuous=np.where(blank[:, :n_cont], np.nan, cohort.continuous),
+        categorical=np.where(blank[:, n_cont:], -1, cohort.categorical))
 
 
 def generate_site(cfg: SiteConfig, spec: FeatureSpec, truth: GroundTruthModel,
@@ -264,44 +283,47 @@ def generate_site(cfg: SiteConfig, spec: FeatureSpec, truth: GroundTruthModel,
     rng = np.random.default_rng([seed, _site_key(cfg.site_name)])
     lat = _site_latents(cfg, spec, truth)
 
-    # raw encounter stream with excludable records mixed in
-    raw: list[EncounterRecord] = []
+    # raw encounter stream with excludable records mixed in: one entry per
+    # encounter (patient, visit number, admission, age draw, flags) and one
+    # per surgery (encounter, code, work units, date), in draw order
+    patient, visit, admission, age_draw, esrd, surgical = [], [], [], [], [], []
+    s_enc, s_code, s_units, s_date = [], [], [], []
     lo, hi = cfg.date_range
+    extra_encounters = max(cfg.encounters_mean - 1.0, 0.0)
+    code_hi = spec.hc_vocab_sizes[0] - 1
     for p in range(cfg.n_patients):
-        pid = f"{cfg.site_name}-p{p:07d}"
-        age_base = float(np.clip(rng.normal(57.0, 18.0), 0.0, 100.0))
-        n_enc = 1 + int(rng.poisson(max(cfg.encounters_mean - 1.0, 0.0)))
-        dates = np.sort(rng.integers(lo, hi, size=n_enc))
-        for e, adm in enumerate(dates):
-            if rng.random() < cfg.no_surgery_rate:
-                surgeries: tuple[Surgery, ...] = ()
-            else:
-                n_surg = 1 + int(rng.poisson(0.5))
-                surgeries = tuple(
-                    Surgery(
-                        procedure_code=int(rng.integers(0, spec.hc_vocab_sizes[0] - 1)),
-                        work_units=float(np.round(rng.gamma(2.0, 10.0), 3)),
-                        surgery_date=int(adm + rng.integers(0, 5)),
-                    )
-                    for _ in range(n_surg)
-                )
-            raw.append(EncounterRecord(
-                patient_id=pid,
-                encounter_id=f"{pid}-e{e}",
-                admission_date=int(adm),
-                age=float(np.round(age_base + 0.1 * e, 2)),
-                esrd=bool(rng.random() < cfg.esrd_rate),
-                surgeries=surgeries,
-                surgeon_id=0,
-                continuous=np.empty(0),
-                binary=np.empty(0, dtype=np.int8),
-                categorical=(),
-                outcomes=np.zeros(4, dtype=np.int8),
-            ))
+        base = rng.normal(57.0, 18.0)
+        n_enc = 1 + int(rng.poisson(extra_encounters))
+        for e, adm in enumerate(np.sort(rng.integers(lo, hi, size=n_enc)).tolist()):
+            has_surgery = not rng.random() < cfg.no_surgery_rate
+            if has_surgery:
+                for _ in range(1 + int(rng.poisson(0.5))):
+                    s_enc.append(len(admission))
+                    s_code.append(int(rng.integers(0, code_hi)))
+                    s_units.append(rng.gamma(2.0, 10.0))
+                    s_date.append(adm + int(rng.integers(0, 5)))
+            patient.append(p)
+            visit.append(e)
+            admission.append(adm)
+            age_draw.append(base)
+            surgical.append(has_surgery)
+            esrd.append(rng.random() < cfg.esrd_rate)
 
-    cohort, exclusions = apply_exclusions(raw, cfg.site_name)
-    cohort.records = [select_index_surgery(r) for r in cohort.records]
-    n = len(cohort.records)
+    age = np.round(np.clip(np.array(age_draw), 0.0, 100.0) + 0.1 * np.array(visit), 2)
+    # exclusions, each encounter counted under the first rule that drops it
+    adult, esrd, surgical = age >= 18.0, np.array(esrd), np.array(surgical)
+    kept = adult & ~esrd & surgical
+    excluded = ExclusionReport(
+        len(age), int((~adult).sum()), int((adult & esrd).sum()),
+        int((adult & ~esrd & ~surgical).sum()), int(kept.sum()))
+    s_code = np.array(s_code, dtype=np.int64)
+    s_units = np.round(np.array(s_units, dtype=np.float64), 3)
+    s_date = np.array(s_date, dtype=np.int64)
+    index = select_index_surgeries(np.array(s_enc, dtype=np.int64), s_code,
+                                   s_units, s_date, len(admission))[kept]
+    rows = np.flatnonzero(kept).tolist()
+    pids = [f"{cfg.site_name}-p{patient[i]:07d}" for i in rows]
+    n = len(rows)
 
     # features and labels for retained encounters
     cont, binary, surgeons = _draw_features(n, cfg, spec, truth, lat, rng)
@@ -318,27 +340,34 @@ def generate_site(cfg: SiteConfig, spec: FeatureSpec, truth: GroundTruthModel,
 
     labels = (rng.random(scores.shape) < expit(scores + intercepts)).astype(np.int8)
 
-    cat_matrix = np.column_stack(
+    categorical = np.column_stack(
         [rng.integers(0, v - 1, size=n) for v in spec.hc_vocab_sizes])
-    for i, rec in enumerate(cohort.records):
-        cats = [int(c) for c in cat_matrix[i]]
-        cats[0] = rec.surgeries[0].procedure_code  # first code is the index surgery
-        cohort.records[i] = replace(
-            rec,
-            surgeon_id=int(surgeons[i]),
-            continuous=cont[i],
-            binary=binary[i],
-            categorical=tuple(cats),
-            outcomes=labels[i],
-        )
+    categorical[:, 0] = s_code[index]  # first code is the index surgery
 
+    cohort = Cohort(
+        site_name=cfg.site_name,
+        patient_id=np.array(pids, dtype=str),
+        encounter_id=np.array([f"{pid}-e{visit[i]}" for pid, i in zip(pids, rows)],
+                              dtype=str),
+        admission_date=np.array(admission, dtype=np.int64)[kept],
+        age=age[kept],
+        esrd=esrd[kept],
+        surgeon_id=surgeons,
+        procedure_code=s_code[index],
+        work_units=s_units[index],
+        surgery_date=s_date[index],
+        continuous=cont,
+        binary=binary,
+        categorical=categorical,
+        outcomes=labels,
+    )
     cohort = inject_missingness(cohort, cfg.missing_rate, seed)
     report = GenerationReport(
         site_name=cfg.site_name,
         n_encounters=n,
         prevalence=tuple(float(v) for v in cohort.prevalence()),
         intercepts=tuple(float(b) for b in intercepts),
-        exclusions=exclusions,
+        exclusions=excluded,
     )
     return cohort, report
 
@@ -352,68 +381,101 @@ def _days(iso: str) -> int:
     return (datetime.date.fromisoformat(iso) - _EPOCH).days
 
 
+_BASE_COLUMNS = list(_COLUMNS[:9])  # one CSV column each
+
+
 def cohort_to_csv(cohort: Cohort, path) -> None:
     """One row per encounter; empty cell = missing; labels as 0/1 columns."""
-    if not cohort.records:
-        spec_cont, spec_bin, spec_cat = 0, 0, 0
-    else:
-        first = cohort.records[0]
-        spec_cont = len(first.continuous)
-        spec_bin = len(first.binary)
-        spec_cat = len(first.categorical)
-    header = (["patient_id", "encounter_id", "admission_date", "age", "esrd",
-               "surgeon_id", "procedure_code", "work_units", "surgery_date"]
-              + [f"cont_{i:02d}" for i in range(spec_cont)]
-              + [f"bin_{i:02d}" for i in range(spec_bin)]
-              + [f"cat_{i}" for i in range(spec_cat)]
+    n_cont, n_bin, n_cat = (cohort.continuous.shape[1], cohort.binary.shape[1],
+                            cohort.categorical.shape[1])
+    header = (_BASE_COLUMNS
+              + [f"cont_{i:02d}" for i in range(n_cont)]
+              + [f"bin_{i:02d}" for i in range(n_bin)]
+              + [f"cat_{i}" for i in range(n_cat)]
               + list(OUTCOME_NAMES))
-    with open(path, "w", newline="") as fh:
+    b, c, d = len(_BASE_COLUMNS) + np.cumsum([n_cont, n_bin, n_cat])
+    days = np.concatenate([cohort.admission_date, cohort.surgery_date]).tolist()
+    iso = {day: _iso(day) for day in set(days)}
+    # the csv writer formats a float with repr() and None as an empty cell
+    table = np.empty((len(cohort), len(header)), dtype=object)
+    for j, col in enumerate((
+            cohort.patient_id, cohort.encounter_id,
+            [iso[day] for day in cohort.admission_date.tolist()], cohort.age,
+            cohort.esrd.astype(np.int8), cohort.surgeon_id, cohort.procedure_code,
+            cohort.work_units, [iso[day] for day in cohort.surgery_date.tolist()])):
+        table[:, j] = col
+    table[:, len(_BASE_COLUMNS):b] = cohort.continuous
+    table[:, len(_BASE_COLUMNS):b][np.isnan(cohort.continuous)] = None
+    table[:, b:c] = cohort.binary
+    table[:, c:d] = cohort.categorical
+    table[:, c:d][cohort.categorical < 0] = None
+    table[:, d:] = cohort.outcomes
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rec in cohort.records:
-            surgery = rec.surgeries[0]
-            row = [rec.patient_id, rec.encounter_id, _iso(rec.admission_date),
-                   repr(rec.age), int(rec.esrd), rec.surgeon_id,
-                   surgery.procedure_code, repr(surgery.work_units),
-                   _iso(surgery.surgery_date)]
-            row += ["" if np.isnan(v) else repr(float(v)) for v in rec.continuous]
-            row += [int(v) for v in rec.binary]
-            row += ["" if c is None else int(c) for c in rec.categorical]
-            row += [int(v) for v in rec.outcomes]
-            writer.writerow(row)
+        writer.writerows(table.tolist())
+
+
+def _parse(cells: list[str], dtype, empty: str = "") -> np.ndarray:
+    """CSV cells as one flat array, an empty cell read as ``empty``. numpy's
+    C parser takes the integers; float() is the faster float parser."""
+    cells = map({"": empty}.get, cells, cells)
+    if np.dtype(dtype).kind == "f":
+        return np.fromiter(map(float, cells), dtype=dtype)
+    return np.fromstring(",".join(cells), dtype=np.int64, sep=",").astype(dtype)
+
+
+def _cohort_from_rows(header: list[str], rows: list[list[str]]) -> Cohort:
+    table = np.array(rows, dtype=object).reshape(len(rows), len(header))
+    n = len(table)
+    b, c, d = len(_BASE_COLUMNS) + np.cumsum(
+        [sum(h.startswith(prefix) for h in header)
+         for prefix in ("cont_", "bin_", "cat_")])
+
+    def block(lo, hi, dtype, empty=""):
+        return _parse(table[:, lo:hi].ravel().tolist(), dtype, empty).reshape(n, hi - lo)
+
+    def dates(j):
+        col = table[:, j].tolist()
+        days = {s: _days(s) for s in set(col)}
+        return np.fromiter(map(days.__getitem__, col), dtype=np.int64, count=n)
+
+    return Cohort(
+        site_name="",
+        patient_id=table[:, 0].astype(str),
+        encounter_id=table[:, 1].astype(str),
+        admission_date=dates(2),
+        age=block(3, 4, np.float64)[:, 0],
+        esrd=block(4, 5, bool)[:, 0],
+        surgeon_id=block(5, 6, np.int64)[:, 0],
+        procedure_code=block(6, 7, np.int64)[:, 0],
+        work_units=block(7, 8, np.float64)[:, 0],
+        surgery_date=dates(8),
+        continuous=block(len(_BASE_COLUMNS), b, np.float64, "nan"),
+        binary=block(b, c, np.int8),
+        categorical=block(c, d, np.int64, "-1"),
+        outcomes=block(d, len(header), np.int8),
+    )
+
+
+# rows converted at a time: bounds the cell strings alive at once
+_CSV_CHUNK = 256
 
 
 def cohort_from_csv(path, site_name: str | None = None) -> Cohort:
-    with open(path, newline="") as fh:
+    parts = []
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        n_cont = sum(1 for h in header if h.startswith("cont_"))
-        n_bin = sum(1 for h in header if h.startswith("bin_"))
-        n_cat = sum(1 for h in header if h.startswith("cat_"))
-        base = 9
-        records = []
-        for row in reader:
-            cont = np.array([np.nan if v == "" else float(v)
-                             for v in row[base:base + n_cont]])
-            binary = np.array([int(v) for v in row[base + n_cont:base + n_cont + n_bin]],
-                              dtype=np.int8)
-            cat_cells = row[base + n_cont + n_bin:base + n_cont + n_bin + n_cat]
-            cats = tuple(None if v == "" else int(v) for v in cat_cells)
-            outs = np.array([int(v) for v in row[-4:]], dtype=np.int8)
-            records.append(EncounterRecord(
-                patient_id=row[0],
-                encounter_id=row[1],
-                admission_date=_days(row[2]),
-                age=float(row[3]),
-                esrd=bool(int(row[4])),
-                surgeries=(Surgery(int(row[6]), float(row[7]), _days(row[8])),),
-                surgeon_id=int(row[5]),
-                continuous=cont,
-                binary=binary,
-                categorical=cats,
-                outcomes=outs,
-            ))
-    name = site_name
-    if name is None:
-        name = records[0].patient_id.rsplit("-p", 1)[0] if records else ""
-    return Cohort(name, records)
+        while True:
+            rows = list(islice(reader, _CSV_CHUNK))
+            if any(len(row) != len(header) for row in rows):
+                raise ValueError(f"{path}: a row without {len(header)} cells")
+            parts.append(_cohort_from_rows(header, rows))
+            if len(rows) < _CSV_CHUNK:
+                break
+    cohort = Cohort.concat("", parts)
+    if site_name is None:
+        site_name = cohort.patient_id[0].rsplit("-p", 1)[0] if len(cohort) else ""
+    cohort.site_name = site_name
+    return cohort

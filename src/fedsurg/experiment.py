@@ -226,8 +226,8 @@ def concat_batches(batches: list[Batch]) -> Batch:
 
 def central_preprocessor(cfg: ExperimentConfig, sites: dict[str, SiteData]
                          ) -> Preprocessor:
-    pooled = Cohort("pooled", [r for n in cfg.development_sites
-                               for r in sites[n].train.records])
+    pooled = Cohort.concat("pooled", [sites[n].train
+                                      for n in cfg.development_sites])
     max_surgeon = max(cfg.site(n).config.surgeon_vocab_size
                       for n in cfg.development_sites)
     return Preprocessor(cfg.features.hc_vocab_sizes, max_surgeon).fit(pooled)

@@ -167,12 +167,16 @@ def _u_statistic(ranks_a: np.ndarray, n_a: int) -> float:
     return float(ranks_a.sum() - n_a * (n_a + 1) / 2.0)
 
 
+# the largest exact case: two samples of 7
+_MAX_EXACT_PERMUTATIONS = math.comb(14, 7)
+
+
 def mann_whitney_u(a, b) -> tuple[float, float]:
     """U statistic (pairs where a exceeds b, ties half) and two-sided p.
 
-    Exact permutation enumeration when min(n_a, n_b) < 8; otherwise the
-    normal approximation with tie-corrected variance and continuity
-    correction.
+    Exact permutation enumeration when there are at most C(14, 7) = 3,432
+    ways to pick sample a from the pooled ranks; otherwise the normal
+    approximation with tie-corrected variance and continuity correction.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -184,7 +188,7 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     u = _u_statistic(ranks[:n_a], n_a)
     mean_u = n_a * n_b / 2.0
 
-    if min(n_a, n_b) < 8:
+    if math.comb(n_a + n_b, n_a) <= _MAX_EXACT_PERMUTATIONS:
         observed = abs(u - mean_u)
         hits = total = 0
         for combo in itertools.combinations(range(n_a + n_b), n_a):

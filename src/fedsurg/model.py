@@ -9,6 +9,8 @@ layout is a pure function of the architecture config.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -71,9 +73,6 @@ class Batch:
             encounter_ids=[self.encounter_ids[i] for i in idx] if self.encounter_ids else [],
         )
 
-
-# transform() produces full-dataset tensors with the same layout
-FeatureMatrix = Batch
 
 HEAD_NAMES = ("icu", "mv", "aki", "mortality")
 
@@ -224,14 +223,29 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+class CheckpointFormatError(ValueError):
+    """A checkpoint file that is not, or no longer, a whole checkpoint."""
+
+
+def _read_exact(fh, n: int) -> bytes:
+    # checked against the file size first, so a corrupt length allocates nothing
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointFormatError(
+            f"{fh.name}: truncated checkpoint (wanted {n} bytes at offset "
+            f"{fh.tell()}, {left} left)")
+    return fh.read(n)
+
+
+def _unpack(fh, fmt: str) -> int:
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))[0]
+
+
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<H", fh.read(2))
-    name = fh.read(nlen).decode()
-    (ndim,) = struct.unpack("<B", fh.read(1))
-    shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
-    return name, arr
+    name = _read_exact(fh, _unpack(fh, "<H")).decode()
+    shape = tuple(_unpack(fh, "<I") for _ in range(_unpack(fh, "<B")))
+    arr = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
+    return name, arr.reshape(shape).copy()
 
 
 def save_checkpoint(path, params: ModelParams, arch: ArchConfig) -> None:
@@ -248,18 +262,19 @@ def save_checkpoint(path, params: ModelParams, arch: ArchConfig) -> None:
 
 
 def load_checkpoint(path, arch: ArchConfig | None = None) -> tuple[ModelParams, str]:
-    """Returns (params, arch fingerprint); validates against arch if given."""
+    """Returns (params, arch fingerprint); validates against arch if given.
+    A file that is not a whole checkpoint raises CheckpointFormatError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path} is not a model checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        if _read_exact(fh, 4) != _CKPT_MAGIC:
+            raise CheckpointFormatError(f"{path} is not a model checkpoint")
+        version = _unpack(fh, "<I")
         if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (fplen,) = struct.unpack("<H", fh.read(2))
-        fingerprint = fh.read(fplen).decode()
+            raise CheckpointFormatError(
+                f"{path}: unsupported checkpoint version {version}")
+        fingerprint = _read_exact(fh, _unpack(fh, "<H")).decode()
         if arch is not None and fingerprint != arch_fingerprint(arch):
             raise ValueError("checkpoint was written for a different architecture")
-        (count,) = struct.unpack("<I", fh.read(4))
+        count = _unpack(fh, "<I")
         params = dict(_read_tensor(fh) for _ in range(count))
     return params, fingerprint
 

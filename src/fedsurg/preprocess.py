@@ -5,6 +5,13 @@ median imputation and min-max scaling are learned from the training
 cohort only. In federated mode the min-max range is replaced by a shared
 scaler built from exchanged per-site (min, max) summaries; clip bounds,
 medians and category maps stay site-local.
+
+All of it works on whole columns: the split orders rows with ``lexsort``,
+and ``fit`` reads every percentile and median off one column-wise sort with
+numpy's own interpolation, bit-identical to ``np.percentile``/``np.median``
+of the column with every zero read as +0.0. (For a column holding both
+-0.0 and +0.0, numpy's own result can take either sign: it depends on how
+its partition orders the two zeros.)
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohort import Cohort
-from .model import Batch, FeatureMatrix
+from .model import Batch
 
 FORMAT_VERSION = 1
 
@@ -43,22 +50,25 @@ def chronological_split(cohort: Cohort, spec: SplitSpec = SplitSpec()
 
     All of a patient's encounters land in one cohort; cut points are the
     patient boundaries whose cumulative encounter fractions are closest
-    to the configured fractions.
+    to the configured fractions. Patients are ordered by (first admission,
+    patient id), and each patient's encounters by (admission, encounter id).
     """
-    if not cohort.records:
+    if not len(cohort):
         raise SplitError("cannot split an empty cohort")
-    by_patient: dict[str, list] = {}
-    for rec in cohort.records:
-        by_patient.setdefault(rec.patient_id, []).append(rec)
-    if len(by_patient) < 3:
+    patients, patient_of, counts = np.unique(
+        cohort.patient_id, return_inverse=True, return_counts=True)
+    n_pat = len(patients)
+    if n_pat < 3:
         raise SplitError("need at least 3 patients to split")
-    ordered = sorted(
-        by_patient.items(),
-        key=lambda kv: (min(r.admission_date for r in kv[1]), kv[0]))
-    counts = np.array([len(recs) for _, recs in ordered])
-    cum = np.cumsum(counts)
+    first = np.full(n_pat, np.iinfo(np.int64).max)
+    np.minimum.at(first, patient_of, cohort.admission_date)
+    ordered = np.lexsort((patients, first))
+    rank = np.empty(n_pat, dtype=np.int64)
+    rank[ordered] = np.arange(n_pat)
+    rows = np.lexsort((cohort.encounter_id, cohort.admission_date,
+                       rank[patient_of]))
+    cum = np.cumsum(counts[ordered])
     total = cum[-1]
-    n_pat = len(ordered)
 
     f_train = spec.fractions[0]
     f_trainval = spec.fractions[0] + spec.fractions[1]
@@ -66,18 +76,9 @@ def chronological_split(cohort: Cohort, spec: SplitSpec = SplitSpec()
     t_idx = int(t_candidates[np.argmin(np.abs(cum[t_candidates - 1] - f_train * total))])
     v_candidates = np.arange(t_idx + 1, n_pat)
     v_idx = int(v_candidates[np.argmin(np.abs(cum[v_candidates - 1] - f_trainval * total))])
-
-    def collect(items):
-        recs = []
-        for _, rs in items:
-            recs.extend(sorted(rs, key=lambda r: (r.admission_date, r.encounter_id)))
-        return recs
-
-    return (
-        Cohort(cohort.site_name, collect(ordered[:t_idx])),
-        Cohort(cohort.site_name, collect(ordered[t_idx:v_idx])),
-        Cohort(cohort.site_name, collect(ordered[v_idx:])),
-    )
+    t_cut, v_cut = cum[t_idx - 1], cum[v_idx - 1]
+    return (cohort.take(rows[:t_cut]), cohort.take(rows[t_cut:v_cut]),
+            cohort.take(rows[v_cut:]))
 
 
 @dataclass
@@ -89,8 +90,30 @@ class ContinuousStats:
     scale_max: float
 
 
-def _cont_matrix(cohort: Cohort) -> np.ndarray:
-    return np.stack([r.continuous for r in cohort.records])
+def _sorted_quantile(x: np.ndarray, m: np.ndarray, q: float) -> np.ndarray:
+    """numpy's ``linear`` quantile ``q`` of the first ``m[j]`` values of
+    each column j of ``x``, whose columns are sorted ascending: the same
+    virtual index, neighbours and lerp, so the same bits."""
+    virtual = (m - 1) * q
+    below = np.floor(virtual)
+    # at the last value numpy takes it twice, with weight virtual + 1
+    top = virtual >= m - 1
+    gamma = np.where(top, virtual + 1, virtual - below)
+    cols = np.arange(x.shape[1])
+    a = x[np.where(top, m - 1, below.astype(np.int64)), cols]
+    b = x[np.where(top, m - 1, below.astype(np.int64) + 1), cols]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
+def _lookup(codes: np.ndarray, seen: set[int], size: int) -> np.ndarray:
+    """Index ``code + 1`` for a code seen at fit time with ``code + 1 <
+    size``; 0 for the rest and for missing (negative) codes."""
+    known = np.zeros(max(size - 1, 0), dtype=bool)
+    known[[c for c in seen if 0 <= c < size - 1]] = True
+    hit = (codes >= 0) & (codes < size - 1)
+    hit[hit] = known[codes[hit]]
+    return np.where(hit, codes + 1, 0)
 
 
 class Preprocessor:
@@ -115,39 +138,52 @@ class Preprocessor:
     def fitted(self) -> bool:
         return self.cont_stats is not None
 
+    def _bounded(self, cont: np.ndarray) -> np.ndarray:
+        """``cont`` with each hard-bounded column clipped (a copy if any)."""
+        if not self.hard_bounds:
+            return cont
+        out = cont.copy()
+        for i, (lo, hi) in self.hard_bounds.items():
+            if 0 <= i < out.shape[1]:
+                out[:, i] = np.clip(out[:, i], lo, hi)
+        return out
+
     def fit(self, train: Cohort,
             scaler_override: tuple[np.ndarray, np.ndarray] | None = None
             ) -> "Preprocessor":
-        if not train.records:
+        """Per continuous column, the 1st/99th percentile clip bounds, the
+        median of the clipped values and their (min, max), all from one
+        sort of the training matrix (NaN sorts last)."""
+        if not len(train):
             raise FitError("cannot fit on an empty cohort")
-        cont = _cont_matrix(train)
-        stats: list[ContinuousStats] = []
-        for i in range(cont.shape[1]):
-            col = cont[:, i]
-            col = col[~np.isnan(col)]
-            if i in self.hard_bounds:
-                lo, hi = self.hard_bounds[i]
-                col = np.clip(col, lo, hi)
-            if col.size == 0:
-                raise FitError(f"continuous feature cont_{i:02d} entirely missing in train")
-            clip_low, clip_high = np.percentile(col, [1.0, 99.0])
-            clipped = np.clip(col, clip_low, clip_high)
-            median = float(np.median(clipped))
-            if scaler_override is not None:
-                smin = float(scaler_override[0][i])
-                smax = float(scaler_override[1][i])
-            else:
-                smin = float(clipped.min())
-                smax = float(clipped.max())
-            stats.append(ContinuousStats(float(clip_low), float(clip_high),
-                                         median, smin, smax))
-        self.cont_stats = stats
-        self.cat_seen = [set() for _ in self.hc_vocab_sizes]
-        for rec in train.records:
-            for j, code in enumerate(rec.categorical):
-                if code is not None:
-                    self.cat_seen[j].add(int(code))
-            self.surgeon_seen.add(int(rec.surgeon_id))
+        # + 0.0 turns -0.0 into +0.0, so no statistic depends on zero order
+        x = np.sort(self._bounded(train.continuous), axis=0) + 0.0
+        m = np.count_nonzero(~np.isnan(x), axis=0)
+        if (m == 0).any():
+            i = int(np.argmax(m == 0))
+            raise FitError(f"continuous feature cont_{i:02d} entirely missing in train")
+        clip_low = _sorted_quantile(x, m, 0.01)
+        clip_high = _sorted_quantile(x, m, 0.99)
+        cols = np.arange(x.shape[1])
+
+        def clipped(k):
+            return np.clip(x[k, cols], clip_low, clip_high)
+
+        # np.median: the mean of the middle one or two values, a sum that
+        # starts from 0.0
+        mid_lo, mid_hi = clipped((m - 1) // 2), clipped(m // 2)
+        median = np.where(m % 2 == 1, 0.0 + mid_lo, (0.0 + mid_lo + mid_hi) / 2.0)
+        if scaler_override is not None:
+            smin = np.asarray(scaler_override[0], dtype=np.float64)
+            smax = np.asarray(scaler_override[1], dtype=np.float64)
+        else:
+            smin, smax = clipped(0), clipped(m - 1)
+        self.cont_stats = [ContinuousStats(*v) for v in zip(
+            clip_low.tolist(), clip_high.tolist(), median.tolist(),
+            smin.tolist(), smax.tolist())]
+        self.cat_seen = [set(np.unique(col[col >= 0]).tolist())
+                         for col in train.categorical.T[:len(self.hc_vocab_sizes)]]
+        self.surgeon_seen = set(np.unique(train.surgeon_id).tolist())
         return self
 
     def scaler_stats(self) -> tuple[np.ndarray, np.ndarray]:
@@ -158,47 +194,27 @@ class Preprocessor:
         maxs = np.array([s.scale_max for s in self.cont_stats])
         return mins, maxs
 
-    def transform(self, cohort: Cohort) -> FeatureMatrix:
+    def transform(self, cohort: Cohort) -> Batch:
         if not self.fitted:
             raise FitError("preprocessor not fitted")
-        n = len(cohort.records)
-        cont = _cont_matrix(cohort)
-        out = np.empty_like(cont)
-        for i, s in enumerate(self.cont_stats):
-            col = cont[:, i].copy()
-            if i in self.hard_bounds:
-                lo, hi = self.hard_bounds[i]
-                col = np.clip(col, lo, hi)
-            col[np.isnan(col)] = s.median
-            col = np.clip(col, s.clip_low, s.clip_high)
-            span = s.scale_max - s.scale_min
-            if span <= 0:
-                out[:, i] = 0.0
-            else:
-                out[:, i] = np.clip((col - s.scale_min) / span, 0.0, 1.0)
-        binary = np.stack([r.binary for r in cohort.records]).astype(np.float64)
-        high_card = []
-        for j, vocab in enumerate(self.hc_vocab_sizes):
-            seen = self.cat_seen[j]
-            idx = np.zeros(n, dtype=np.int64)
-            for r, rec in enumerate(cohort.records):
-                code = rec.categorical[j]
-                if code is not None and code in seen and code + 1 < vocab:
-                    idx[r] = code + 1
-            high_card.append(idx)
-        surgeon = np.zeros(n, dtype=np.int64)
-        for r, rec in enumerate(cohort.records):
-            sid = int(rec.surgeon_id)
-            if sid in self.surgeon_seen and sid + 1 < self.surgeon_vocab_size + 1:
-                surgeon[r] = sid + 1
-        labels = np.stack([r.outcomes for r in cohort.records]).astype(np.float64)
+        low, high, median, smin, smax = np.array(
+            [list(vars(s).values()) for s in self.cont_stats]).T
+        x = self._bounded(cohort.continuous)
+        x = np.clip(np.where(np.isnan(x), median, x), low, high)
+        span = smax - smin
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.clip((x - smin) / span, 0.0, 1.0)
+        out[:, span <= 0] = 0.0
         return Batch(
             continuous=out,
-            binary=binary,
-            high_card=tuple(high_card),
-            labels=labels,
-            surgeon=surgeon,
-            encounter_ids=[r.encounter_id for r in cohort.records],
+            binary=cohort.binary.astype(np.float64),
+            high_card=tuple(_lookup(cohort.categorical[:, j], seen, vocab)
+                            for j, (seen, vocab) in enumerate(
+                                zip(self.cat_seen, self.hc_vocab_sizes))),
+            labels=cohort.outcomes.astype(np.float64),
+            surgeon=_lookup(cohort.surgeon_id, self.surgeon_seen,
+                            self.surgeon_vocab_size + 1),
+            encounter_ids=cohort.encounter_id.tolist(),
         )
 
     # --- audit artifact ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Synthetic cohort generation: determinism, exclusions, prevalence
-calibration and the CSV round trip."""
+calibration, the CSV round trip and the columnar layout checked against a
+record-by-record oracle."""
 
 import numpy as np
 import pytest
@@ -23,13 +24,21 @@ def _gen(**kw):
     return C.generate_site(_cfg(**kw), SPEC, truth, 11, mc_samples=20_000)
 
 
+def assert_cohorts_identical(a: C.Cohort, b: C.Cohort):
+    """Every column equal in dtype kind, shape and value (NaN == NaN)."""
+    assert a.site_name == b.site_name
+    for name in C._COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype.kind == y.dtype.kind, name
+        assert x.shape == y.shape, name
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), name
+
+
 def test_generation_is_deterministic():
     c1, r1 = _gen()
     c2, r2 = _gen()
     assert r1 == r2
-    assert len(c1.records) == len(c2.records)
-    for a, b in zip(c1.records, c2.records):
-        assert a == b
+    assert_cohorts_identical(c1, c2)
 
 
 def test_different_sites_differ():
@@ -37,10 +46,9 @@ def test_different_sites_differ():
     a, _ = C.generate_site(_cfg(), SPEC, truth, 11, mc_samples=5_000)
     b, _ = C.generate_site(_cfg(site_name="siteB"), SPEC, truth, 11,
                            mc_samples=5_000)
-    ca = np.stack([r.continuous for r in a.records])
-    cb = np.stack([r.continuous for r in b.records])
     # covariate shift moves the per-feature means between sites
-    assert np.max(np.abs(np.nanmean(ca, 0) - np.nanmean(cb, 0))) > 0.1
+    assert np.max(np.abs(np.nanmean(a.continuous, 0)
+                         - np.nanmean(b.continuous, 0))) > 0.1
 
 
 def test_exclusions_applied_and_counted():
@@ -48,28 +56,52 @@ def test_exclusions_applied_and_counted():
     ex = report.exclusions
     assert ex.n_input == ex.n_under_18 + ex.n_esrd + ex.n_no_surgery + ex.n_retained
     assert ex.n_esrd > 0 and ex.n_no_surgery > 0 and ex.n_under_18 > 0
-    for rec in cohort.records:
-        assert rec.age >= 18.0
-        assert not rec.esrd
-        assert len(rec.surgeries) == 1
+    assert ex.n_retained == len(cohort)
+    assert (cohort.age >= 18.0).all()
+    assert not cohort.esrd.any()
+    # every retained encounter carries its one index surgery
+    assert (cohort.procedure_code >= 0).all()
+    assert (cohort.surgery_date >= cohort.admission_date).all()
+    assert (cohort.surgery_date < cohort.admission_date + 5).all()
 
 
 def test_index_surgery_selection_rules():
-    surgeries = (
-        C.Surgery(5, 10.0, 100),
-        C.Surgery(3, 22.0, 120),   # max work units wins
-        C.Surgery(9, 22.0, 110),   # same units, earlier date wins
-        C.Surgery(1, 22.0, 110),   # same units+date, lower code wins
-    )
-    rec = C.EncounterRecord("p", "e", 90, 40.0, False, surgeries, 0,
-                            np.zeros(1), np.zeros(1, np.int8), (0,),
-                            np.zeros(4, np.int8))
-    picked = C.select_index_surgery(rec).surgeries[0]
-    assert picked == C.Surgery(1, 22.0, 110)
-    with pytest.raises(ValueError):
-        C.select_index_surgery(C.EncounterRecord(
-            "p", "e", 90, 40.0, False, (), 0, np.zeros(1),
-            np.zeros(1, np.int8), (0,), np.zeros(4, np.int8)))
+    # encounter 0: max work units wins, then the earlier date, then the
+    # lower code; encounter 1 has no surgery; encounter 2 has one
+    enc = np.array([0, 0, 0, 0, 2])
+    code = np.array([5, 3, 9, 1, 7])
+    units = np.array([10.0, 22.0, 22.0, 22.0, 1.0])
+    date = np.array([100, 120, 110, 110, 50])
+    chosen = C.select_index_surgeries(enc, code, units, date, 3)
+    assert chosen.tolist() == [3, -1, 4]
+
+    # against the per-encounter rule min(-units, date, code) on random ties
+    rng = np.random.default_rng(5)
+    n_enc, n_surg = 60, 200
+    enc = np.sort(rng.integers(0, n_enc, n_surg))
+    code = rng.integers(0, 4, n_surg)
+    units = rng.choice([1.5, 2.0, 7.25], n_surg)
+    date = rng.integers(0, 3, n_surg)
+    chosen = C.select_index_surgeries(enc, code, units, date, n_enc)
+    for e in range(n_enc):
+        mine = np.flatnonzero(enc == e)
+        if not mine.size:
+            assert chosen[e] == -1
+            continue
+        want = min(mine, key=lambda s: (-units[s], date[s], code[s]))
+        assert (units[chosen[e]], date[chosen[e]], code[chosen[e]]) == (
+            units[want], date[want], code[want])
+
+
+def _bisect_oracle(target, scores, lo=-20.0, hi=20.0):
+    """The fixed-bracket, fixed-100-step bisection."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if expit(scores + mid).mean() < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def test_calibrate_intercept_oracle():
@@ -78,10 +110,29 @@ def test_calibrate_intercept_oracle():
     for target in (0.02, 0.10, 0.30):
         b = C.calibrate_intercept(target, scores)
         assert expit(scores + b).mean() == pytest.approx(target, abs=1e-9)
+        # stopping once the bisection stalls leaves the intercept unchanged
+        assert b == _bisect_oracle(target, scores)
     with pytest.raises(C.CalibrationError):
         C.calibrate_intercept(0.5, scores, bracket=(-30.0, -20.0))
     with pytest.raises(C.CalibrationError):
         C.calibrate_intercept(1.5, scores)
+
+
+def test_calibrate_intercept_widens_bracket_for_rare_targets():
+    # the acceptance config's heterogeneity at seed 24 pushes partner4's
+    # scores so high that 0.1% mortality needs an intercept below -20
+    spec = C.FeatureSpec()
+    truth = C.make_ground_truth(spec, 24)
+    cfg = C.SiteConfig(site_name="partner4", n_patients=1200,
+                       target_prevalence=(0.02, 0.01, 0.01, 0.001),
+                       covariate_shift=1.5, concept_shift=0.15,
+                       scale_shift=0.3, surgeon_effect=0.5)
+    cohort, report = C.generate_site(cfg, spec, truth, 24, mc_samples=20_000)
+    assert report.intercepts[3] < -20.0
+    assert len(cohort) == report.n_encounters
+    scores = np.random.default_rng(1).normal(30.0, 1.0, 20_000)
+    b = C.calibrate_intercept(0.01, scores)
+    assert expit(scores + b).mean() == pytest.approx(0.01, abs=1e-9)
 
 
 def test_prevalence_near_target():
@@ -95,44 +146,127 @@ def test_prevalence_near_target():
 
 def test_missingness_blanks_features_only():
     cohort, _ = _gen(missing_rate=0.3)
-    n_nan = sum(int(np.isnan(r.continuous).sum()) for r in cohort.records)
-    n_none = sum(sum(c is None for c in r.categorical) for r in cohort.records)
-    total_cont = sum(len(r.continuous) for r in cohort.records)
-    assert 0.2 < n_nan / total_cont < 0.4
-    assert n_none > 0
-    for rec in cohort.records:
-        assert not np.isnan(rec.outcomes).any()
-        assert not np.isnan(rec.binary.astype(float)).any()
-        assert rec.surgeries  # surgery record never blanked
+    n_nan = int(np.isnan(cohort.continuous).sum())
+    assert 0.2 < n_nan / cohort.continuous.size < 0.4
+    assert (cohort.categorical == -1).sum() > 0
+    assert set(np.unique(cohort.outcomes)) <= {0, 1}
+    assert set(np.unique(cohort.binary)) <= {0, 1}
+    # the surgery record is never blanked
+    assert (cohort.procedure_code >= 0).all()
 
 
 def test_first_category_is_procedure_code():
     cohort, _ = _gen(missing_rate=0.0)
-    for rec in cohort.records:
-        assert rec.categorical[0] == rec.surgeries[0].procedure_code
-        for j, code in enumerate(rec.categorical):
-            assert 0 <= code < SPEC.hc_vocab_sizes[j]
+    assert np.array_equal(cohort.categorical[:, 0], cohort.procedure_code)
+    for j, vocab in enumerate(SPEC.hc_vocab_sizes):
+        assert (cohort.categorical[:, j] >= 0).all()
+        assert (cohort.categorical[:, j] < vocab).all()
 
 
 def test_encounters_sorted_within_patient():
     cohort, _ = _gen()
     by_patient: dict[str, list[int]] = {}
-    for rec in cohort.records:
-        by_patient.setdefault(rec.patient_id, []).append(rec.admission_date)
+    for pid, day in zip(cohort.patient_id.tolist(), cohort.admission_date.tolist()):
+        by_patient.setdefault(pid, []).append(day)
     assert any(len(v) > 1 for v in by_patient.values())
     for dates in by_patient.values():
         assert dates == sorted(dates)
 
 
 def test_csv_roundtrip_lossless(tmp_path):
-    cohort, _ = _gen(n_patients=120)
+    cohort, _ = _gen(n_patients=300, missing_rate=0.2)
+    assert len(cohort) > C._CSV_CHUNK   # read back in more than one chunk
+    assert np.isnan(cohort.continuous).any() and (cohort.categorical < 0).any()
     path = tmp_path / "c.csv"
     C.cohort_to_csv(cohort, path)
     back = C.cohort_from_csv(path)
-    assert back.site_name == cohort.site_name
-    assert len(back.records) == len(cohort.records)
-    for a, b in zip(cohort.records, back.records):
-        assert a == b
+    assert_cohorts_identical(cohort, back)
+    # floats come back bit for bit
+    for name in ("age", "work_units", "continuous"):
+        assert getattr(back, name).tobytes() == getattr(cohort, name).tobytes()
+    C.cohort_to_csv(back, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_csv_roundtrip_of_empty_and_quoted_cohorts(tmp_path):
+    cohort, _ = _gen(n_patients=40, missing_rate=0.2)
+    empty = cohort.take([])
+    C.cohort_to_csv(empty, tmp_path / "empty.csv")
+    assert_cohorts_identical(
+        empty, C.cohort_from_csv(tmp_path / "empty.csv", site_name="siteA"))
+    # a comma, a quote or a newline in the site name makes the writer quote
+    # the ids; the other line breaks of str.splitlines it leaves unquoted
+    for prefix in ('si,"te-', "line\nbreak\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029-"):
+        odd = C.Cohort.concat(prefix + "siteA", [cohort])
+        odd.patient_id = np.char.add(prefix, odd.patient_id)
+        odd.encounter_id = np.char.add(prefix, odd.encounter_id)
+        C.cohort_to_csv(odd, tmp_path / "odd.csv")
+        assert '"' in (tmp_path / "odd.csv").read_text(encoding="utf-8")
+        assert_cohorts_identical(odd, C.cohort_from_csv(tmp_path / "odd.csv"))
+    # a row cut short is an error, not a shifted column
+    C.cohort_to_csv(cohort, tmp_path / "plain.csv")
+    for name in ("odd.csv", "plain.csv"):
+        text = (tmp_path / name).read_text(encoding="utf-8").rstrip()
+        (tmp_path / "cut.csv").write_text(text[:text.rindex(",")] + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="cells"):
+            C.cohort_from_csv(tmp_path / "cut.csv")
+
+
+def test_csv_writes_one_row_per_encounter(tmp_path):
+    cohort, _ = _gen(n_patients=30, missing_rate=0.3)
+    path = tmp_path / "c.csv"
+    C.cohort_to_csv(cohort, path)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == len(cohort) + 1
+    assert header[:3] == ["patient_id", "encounter_id", "admission_date"]
+    assert header[-4:] == list(C.OUTCOME_NAMES)
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert cells[0] == cohort.patient_id[i]
+        assert cells[3] == repr(float(cohort.age[i]))
+        cont = cells[9:9 + SPEC.n_continuous]
+        for v, cell in zip(cohort.continuous[i].tolist(), cont):
+            assert cell == ("" if np.isnan(v) else repr(v))
+        cats = cells[9 + SPEC.n_continuous + SPEC.n_binary:-4]
+        assert cats == ["" if c < 0 else str(c) for c in cohort.categorical[i]]
+
+
+def test_records_view_matches_columns():
+    cohort, _ = _gen(n_patients=60, missing_rate=0.3)
+    records = cohort.records
+    assert len(records) == len(cohort)
+    for i, rec in enumerate(records):
+        assert rec.patient_id == cohort.patient_id[i]
+        assert rec.encounter_id == cohort.encounter_id[i]
+        assert rec.admission_date == cohort.admission_date[i]
+        assert rec.age == cohort.age[i]
+        assert rec.esrd == cohort.esrd[i]
+        assert rec.surgeon_id == cohort.surgeon_id[i]
+        assert rec.surgeries == (C.Surgery(int(cohort.procedure_code[i]),
+                                           float(cohort.work_units[i]),
+                                           int(cohort.surgery_date[i])),)
+        assert np.array_equal(rec.continuous, cohort.continuous[i], equal_nan=True)
+        assert np.array_equal(rec.binary, cohort.binary[i])
+        assert rec.categorical == tuple(None if c < 0 else int(c)
+                                        for c in cohort.categorical[i])
+        assert np.array_equal(rec.outcomes, cohort.outcomes[i])
+    # rows view a copy: writing into one never reaches the cohort
+    before = cohort.continuous.copy()
+    records[0].continuous[:] = 1.0
+    assert np.array_equal(cohort.continuous, before, equal_nan=True)
+
+
+def test_take_and_concat():
+    cohort, _ = _gen(n_patients=50)
+    idx = np.array([4, 0, 2])
+    part = cohort.take(idx)
+    assert len(part) == 3 and part.site_name == cohort.site_name
+    assert part.encounter_id.tolist() == cohort.encounter_id[idx].tolist()
+    assert np.array_equal(part.continuous, cohort.continuous[idx], equal_nan=True)
+    both = C.Cohort.concat("pooled", [part, cohort])
+    assert both.site_name == "pooled" and len(both) == 3 + len(cohort)
+    assert np.array_equal(both.outcomes[3:], cohort.outcomes)
 
 
 def test_site_config_validation():
@@ -140,3 +274,71 @@ def test_site_config_validation():
         _cfg(target_prevalence=(0.0, 0.1, 0.1, 0.1))
     with pytest.raises(ValueError):
         _cfg(missing_rate=1.0)
+
+
+# --- the record-by-record generator, as an oracle ---------------------------
+
+def _generate_oracle(cfg, spec, truth, seed, mc_samples):
+    """One dict per retained encounter, built encounter by encounter with
+    scalar draws in the generator's documented order."""
+    rng = np.random.default_rng([seed, C._site_key(cfg.site_name)])
+    lat = C._site_latents(cfg, spec, truth)
+    raw = []
+    lo, hi = cfg.date_range
+    for p in range(cfg.n_patients):
+        pid = f"{cfg.site_name}-p{p:07d}"
+        age_base = float(np.clip(rng.normal(57.0, 18.0), 0.0, 100.0))
+        n_enc = 1 + int(rng.poisson(max(cfg.encounters_mean - 1.0, 0.0)))
+        dates = np.sort(rng.integers(lo, hi, size=n_enc))
+        for e, adm in enumerate(dates):
+            surgeries = []
+            if not rng.random() < cfg.no_surgery_rate:
+                for _ in range(1 + int(rng.poisson(0.5))):
+                    code = int(rng.integers(0, spec.hc_vocab_sizes[0] - 1))
+                    units = float(np.round(rng.gamma(2.0, 10.0), 3))
+                    surgeries.append((code, units, int(adm + rng.integers(0, 5))))
+            raw.append(dict(
+                patient_id=pid, encounter_id=f"{pid}-e{e}",
+                admission_date=int(adm),
+                age=float(np.round(age_base + 0.1 * e, 2)),
+                esrd=bool(rng.random() < cfg.esrd_rate), surgeries=surgeries))
+    kept = [r for r in raw if r["age"] >= 18.0 and not r["esrd"] and r["surgeries"]]
+    n = len(kept)
+    cont, binary, surgeons = C._draw_features(n, cfg, spec, truth, lat, rng)
+    cont = np.round(cont, 6)
+    scores = C._scores(cont, binary, surgeons, lat)
+    mc_rng = np.random.default_rng([seed, C._site_key(cfg.site_name), 0xCA11])
+    mc = C._draw_features(mc_samples, cfg, spec, truth, lat, mc_rng)
+    mc_scores = C._scores(*mc, lat)
+    intercepts = np.array([C.calibrate_intercept(cfg.target_prevalence[k],
+                                                 mc_scores[:, k])
+                           for k in range(4)])
+    labels = (rng.random(scores.shape) < expit(scores + intercepts)).astype(np.int8)
+    cats = np.column_stack([rng.integers(0, v - 1, size=n)
+                            for v in spec.hc_vocab_sizes])
+    miss = np.random.default_rng([seed, C._site_key(cfg.site_name), 0x3355])
+    for i, rec in enumerate(kept):
+        code, units, day = min(rec["surgeries"],
+                               key=lambda s: (-s[1], s[2], s[0]))
+        row_cats = [int(c) for c in cats[i]]
+        row_cats[0] = code
+        row_cont = cont[i].copy()
+        row_cont[miss.random(row_cont.shape) < cfg.missing_rate] = np.nan
+        row_cats = [-1 if miss.random() < cfg.missing_rate else c for c in row_cats]
+        rec.update(procedure_code=code, work_units=units, surgery_date=day,
+                   surgeon_id=int(surgeons[i]), continuous=row_cont,
+                   binary=binary[i], categorical=row_cats, outcomes=labels[i])
+    return kept
+
+
+def test_generation_matches_record_oracle():
+    cfg = _cfg(n_patients=300, missing_rate=0.2, esrd_rate=0.1,
+               no_surgery_rate=0.1, encounters_mean=1.8)
+    truth = C.make_ground_truth(SPEC, 11)
+    cohort, report = C.generate_site(cfg, SPEC, truth, 11, mc_samples=5_000)
+    want = _generate_oracle(cfg, SPEC, truth, 11, 5_000)
+    assert len(cohort) == len(want) == report.exclusions.n_retained
+    for name in C._COLUMNS:
+        got = getattr(cohort, name)
+        expected = np.array([rec[name] for rec in want], dtype=got.dtype)
+        assert got.tobytes() == expected.tobytes(), name

@@ -4,6 +4,8 @@ The oracles count pairs and enumerate thresholds directly, with no rank
 arithmetic, so they share no code path with the implementations.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,6 +289,19 @@ def test_mann_whitney_normal_approx_matches_scipy():
     ref = stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic")
     assert u == pytest.approx(float(ref.statistic), abs=1e-9)
     assert p == pytest.approx(float(ref.pvalue), rel=1e-9)
+
+
+def test_mann_whitney_large_unbalanced_uses_normal_approx():
+    # C(45, 5) = 1.2 million orderings: enumerating them took seconds
+    rng = np.random.default_rng(6)
+    a = rng.normal(0.3, 1, 5)
+    b = rng.normal(0, 1, 40)
+    start = time.perf_counter()
+    u, p = metrics.mann_whitney_u(a, b)
+    assert time.perf_counter() - start < 1.0
+    ref = stats.mannwhitneyu(a, b, alternative="two-sided", method="asymptotic")
+    assert u == pytest.approx(float(ref.statistic), abs=1e-9)
+    assert p == pytest.approx(float(ref.pvalue), abs=1e-9)
 
 
 def test_mann_whitney_empty_raises():

@@ -1,6 +1,9 @@
 """Network construction, a pure-numpy forward oracle, parameter
 serialization and the local training step."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -102,6 +105,26 @@ def test_checkpoint_rejects_wrong_arch(tmp_path, small_arch):
     other = dataclasses.replace(small_arch, branch_hidden=small_arch.branch_hidden + 1)
     with pytest.raises(ValueError):
         M.load_checkpoint(path, other)
+
+
+def test_truncated_checkpoint_raises_format_error(tmp_path, small_arch):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, M.init_params(small_arch, 9), small_arch)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    # every offset in the header and the first tensor's header, then a stride
+    for size in [*range(64), *range(64, len(raw), 37), len(raw) - 1]:
+        cut.write_bytes(raw[:size])
+        with pytest.raises(M.CheckpointFormatError, match=re.escape(str(cut))):
+            M.load_checkpoint(cut, small_arch)
+    assert issubclass(M.CheckpointFormatError, ValueError)
+    # a corrupt shape asking for 8 * (2**32 - 1)**4 bytes fails at once
+    huge = (raw[:raw.index(b"FSCK") + 8] + struct.pack("<H", 2) + b"fp"
+            + struct.pack("<I", 1) + struct.pack("<H", 1) + b"w"
+            + struct.pack("<B", 4) + struct.pack("<I", 2**32 - 1) * 4)
+    cut.write_bytes(huge + b"\0" * 64)
+    with pytest.raises(M.CheckpointFormatError, match="truncated"):
+        M.load_checkpoint(cut)
 
 
 def test_multitask_loss_equals_elementwise_bce(small_arch):

@@ -24,7 +24,7 @@ def cohort():
 
 def test_split_fractions_within_tolerance(cohort):
     train, val, test = P.chronological_split(cohort)
-    n = len(cohort.records)
+    n = len(cohort)
     assert len(train) + len(val) + len(test) == n
     assert abs(len(train) / n - 0.60) < 0.02
     assert abs(len(val) / n - 0.10) < 0.02
@@ -35,8 +35,8 @@ def test_split_groups_patients(cohort):
     parts = P.chronological_split(cohort)
     owner: dict[str, int] = {}
     for i, part in enumerate(parts):
-        for rec in part.records:
-            assert owner.setdefault(rec.patient_id, i) == i
+        for pid in part.patient_id.tolist():
+            assert owner.setdefault(pid, i) == i
 
 
 def test_split_is_chronological_by_first_admission(cohort):
@@ -44,10 +44,9 @@ def test_split_is_chronological_by_first_admission(cohort):
 
     def first_dates(part):
         firsts: dict[str, int] = {}
-        for rec in part.records:
-            firsts[rec.patient_id] = min(
-                firsts.get(rec.patient_id, rec.admission_date),
-                rec.admission_date)
+        for pid, day in zip(part.patient_id.tolist(),
+                            part.admission_date.tolist()):
+            firsts[pid] = min(firsts.get(pid, day), day)
         return firsts.values()
 
     assert max(first_dates(train)) <= min(first_dates(val))
@@ -57,16 +56,16 @@ def test_split_is_chronological_by_first_admission(cohort):
 def test_split_rejects_tiny_cohorts():
     c = _cohort()
     with pytest.raises(P.SplitError):
-        P.chronological_split(C.Cohort("x", c.records[:1]))
+        P.chronological_split(c.take([0]))
     with pytest.raises(P.SplitError):
-        P.chronological_split(C.Cohort("x", []))
+        P.chronological_split(c.take([]))
     with pytest.raises(ValueError):
         P.SplitSpec((0.5, 0.2, 0.2))
 
 
 def test_fit_percentile_and_median_oracle(cohort):
     pp = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort)
-    cont = np.stack([r.continuous for r in cohort.records])
+    cont = cohort.continuous
     for i, s in enumerate(pp.cont_stats):
         col = cont[:, i]
         col = col[~np.isnan(col)]
@@ -82,26 +81,22 @@ def test_fit_percentile_and_median_oracle(cohort):
 def test_transform_output_ranges(cohort):
     pp = P.Preprocessor(SPEC.hc_vocab_sizes, surgeon_vocab_size=50).fit(cohort)
     fm = pp.transform(cohort)
-    assert fm.continuous.shape == (len(cohort.records), SPEC.n_continuous)
+    assert fm.continuous.shape == (len(cohort), SPEC.n_continuous)
     assert np.all((fm.continuous >= 0.0) & (fm.continuous <= 1.0))
     assert not np.isnan(fm.continuous).any()
     assert set(np.unique(fm.binary)) <= {0.0, 1.0}
     for j, idx in enumerate(fm.high_card):
         assert idx.min() >= 0 and idx.max() < SPEC.hc_vocab_sizes[j]
     assert fm.surgeon.max() <= 50
-    assert fm.encounter_ids == [r.encounter_id for r in cohort.records]
+    assert fm.encounter_ids == cohort.encounter_id.tolist()
 
 
 def test_transform_imputes_median():
     cohort = _cohort(missing_rate=0.0)
     pp = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort)
-    rec = cohort.records[0]
-    cont = rec.continuous.copy()
-    cont[2] = np.nan
-    holed = C.Cohort("siteP", [C.EncounterRecord(
-        rec.patient_id, rec.encounter_id, rec.admission_date, rec.age,
-        rec.esrd, rec.surgeries, rec.surgeon_id, cont, rec.binary,
-        rec.categorical, rec.outcomes)])
+    holed = cohort.take([0])
+    holed.continuous[0, 2] = np.nan
+    assert not np.isnan(cohort.continuous[0, 2])
     fm = pp.transform(holed)
     s = pp.cont_stats[2]
     want = (s.median - s.scale_min) / (s.scale_max - s.scale_min)
@@ -112,9 +107,8 @@ def test_category_mapping_code_plus_one_and_unseen_zero(cohort):
     pp = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort)
     fm = pp.transform(cohort)
     for j in range(len(SPEC.hc_vocab_sizes)):
-        for r, rec in enumerate(cohort.records):
-            code = rec.categorical[j]
-            if code is None or code not in pp.cat_seen[j]:
+        for r, code in enumerate(cohort.categorical[:, j].tolist()):
+            if code == -1 or code not in pp.cat_seen[j]:
                 assert fm.high_card[j][r] == 0
             else:
                 assert fm.high_card[j][r] == code + 1
@@ -127,7 +121,7 @@ def test_unfitted_preprocessor_raises(cohort):
     with pytest.raises(P.FitError):
         pp.scaler_stats()
     with pytest.raises(P.FitError):
-        pp.fit(C.Cohort("x", []))
+        pp.fit(cohort.take([]))
 
 
 def test_scaler_override_changes_scaling_only(cohort):
@@ -168,7 +162,7 @@ def test_shared_scaler_equals_pooled_minmax():
     for i in range(SPEC.n_continuous):
         cols = []
         for pp, c in ((ppa, a), (ppb, b)):
-            col = np.stack([r.continuous for r in c.records])[:, i]
+            col = c.continuous[:, i]
             col = col[~np.isnan(col)]
             s = pp.cont_stats[i]
             cols.append(np.clip(col, s.clip_low, s.clip_high))
@@ -189,3 +183,180 @@ def test_json_roundtrip(cohort):
     assert np.array_equal(fm1.surgeon, fm2.surgeon)
     with pytest.raises(P.FitError):
         P.Preprocessor.from_json('{"format_version": 99}')
+
+
+# --- record-by-record oracles ------------------------------------------------
+
+def _split_oracle(cohort, fractions=(0.60, 0.10, 0.30)):
+    """Encounter ids of train/val/test, patient group by patient group."""
+    by_patient: dict[str, list] = {}
+    for rec in cohort.records:
+        by_patient.setdefault(rec.patient_id, []).append(rec)
+    ordered = sorted(by_patient.items(),
+                     key=lambda kv: (min(r.admission_date for r in kv[1]), kv[0]))
+    cum = np.cumsum([len(recs) for _, recs in ordered])
+    n_pat, total = len(ordered), cum[-1]
+    t_cand = np.arange(1, n_pat - 1)
+    t = int(t_cand[np.argmin(np.abs(cum[t_cand - 1] - fractions[0] * total))])
+    v_cand = np.arange(t + 1, n_pat)
+    v = int(v_cand[np.argmin(np.abs(
+        cum[v_cand - 1] - (fractions[0] + fractions[1]) * total))])
+
+    def collect(items):
+        return [r.encounter_id for _, rs in items
+                for r in sorted(rs, key=lambda r: (r.admission_date, r.encounter_id))]
+
+    return collect(ordered[:t]), collect(ordered[t:v]), collect(ordered[v:])
+
+
+def _fit_oracle(train, hc_vocab_sizes, hard_bounds=None, override=None):
+    """Column-by-column percentile clip, median and min/max, and the seen
+    category and surgeon sets, from the rows."""
+    hard_bounds = hard_bounds or {}
+    cont = np.stack([r.continuous for r in train.records])
+    stats = []
+    for i in range(cont.shape[1]):
+        col = cont[:, i]
+        col = col[~np.isnan(col)]
+        if i in hard_bounds:
+            col = np.clip(col, *hard_bounds[i])
+        col = col + 0.0   # every zero +0.0
+        if col.size == 0:
+            raise P.FitError(f"cont_{i:02d}")
+        lo, hi = np.percentile(col, [1.0, 99.0])
+        clipped = np.clip(col, lo, hi)
+        if override is not None:
+            smin, smax = float(override[0][i]), float(override[1][i])
+        else:
+            smin, smax = float(clipped.min()), float(clipped.max())
+        stats.append((float(lo), float(hi), float(np.median(clipped)), smin, smax))
+    cat_seen = [set() for _ in hc_vocab_sizes]
+    surgeon_seen = set()
+    for rec in train.records:
+        for j, code in enumerate(rec.categorical):
+            if code is not None:
+                cat_seen[j].add(code)
+        surgeon_seen.add(rec.surgeon_id)
+    return stats, cat_seen, surgeon_seen
+
+
+def _transform_oracle(cohort, stats, cat_seen, surgeon_seen, hc_vocab_sizes,
+                      surgeon_vocab_size, hard_bounds=None):
+    hard_bounds = hard_bounds or {}
+    records = cohort.records
+    cont = np.stack([r.continuous for r in records])
+    out = np.empty_like(cont)
+    for i, (lo, hi, median, smin, smax) in enumerate(stats):
+        col = cont[:, i].copy()
+        if i in hard_bounds:
+            col = np.clip(col, *hard_bounds[i])
+        col[np.isnan(col)] = median
+        col = np.clip(col, lo, hi)
+        span = smax - smin
+        out[:, i] = 0.0 if span <= 0 else np.clip((col - smin) / span, 0.0, 1.0)
+    high_card = []
+    for j, vocab in enumerate(hc_vocab_sizes):
+        idx = np.zeros(len(records), dtype=np.int64)
+        for r, rec in enumerate(records):
+            code = rec.categorical[j]
+            if code is not None and code in cat_seen[j] and code + 1 < vocab:
+                idx[r] = code + 1
+        high_card.append(idx)
+    surgeon = np.array([r.surgeon_id + 1 if r.surgeon_id in surgeon_seen
+                        and r.surgeon_id < surgeon_vocab_size else 0
+                        for r in records], dtype=np.int64)
+    return out, high_card, surgeon
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_matches_oracles(train, others, hc_vocab_sizes, surgeon_vocab_size,
+                            hard_bounds=None, override=None):
+    pp = P.Preprocessor(hc_vocab_sizes, surgeon_vocab_size, hard_bounds).fit(
+        train, scaler_override=override)
+    stats, cat_seen, surgeon_seen = _fit_oracle(train, hc_vocab_sizes,
+                                                hard_bounds, override)
+    assert _bits([list(vars(s).values()) for s in pp.cont_stats]) == _bits(stats)
+    assert pp.cat_seen == cat_seen and pp.surgeon_seen == surgeon_seen
+    for part in [train, *others]:
+        fm = pp.transform(part)
+        cont, high_card, surgeon = _transform_oracle(
+            part, stats, cat_seen, surgeon_seen, hc_vocab_sizes,
+            surgeon_vocab_size, hard_bounds)
+        assert fm.continuous.tobytes() == cont.tobytes()
+        for got, want in zip(fm.high_card, high_card, strict=True):
+            assert np.array_equal(got, want)
+        assert np.array_equal(fm.surgeon, surgeon)
+        assert np.array_equal(fm.binary, part.binary.astype(np.float64))
+        assert np.array_equal(fm.labels, part.outcomes.astype(np.float64))
+        assert fm.encounter_ids == [r.encounter_id for r in part.records]
+
+
+def test_split_matches_record_oracle():
+    # few dates, so first admissions and admissions within a patient tie;
+    # rows shuffled, so ties must break on the patient and encounter ids
+    for seed, n_patients in ((3, 600), (4, 40), (5, 7)):
+        cohort = _cohort(n_patients=n_patients, seed=seed,
+                         encounters_mean=12.0, date_range=(15340, 15350))
+        rng = np.random.default_rng(seed)
+        cohort = cohort.take(rng.permutation(len(cohort)))
+        parts = P.chronological_split(cohort)
+        want = _split_oracle(cohort)
+        for part, ids in zip(parts, want, strict=True):
+            assert part.encounter_id.tolist() == ids
+            assert part.site_name == cohort.site_name
+
+
+def test_fit_transform_match_record_oracle():
+    # NaN-holed columns, ties from a coarse grid, tiny cohorts
+    cohort = _cohort(missing_rate=0.3)
+    train, val, test = P.chronological_split(cohort)
+    _assert_matches_oracles(train, [val, test], SPEC.hc_vocab_sizes, 50)
+    coarse = _cohort(missing_rate=0.0)
+    coarse.continuous[:] = np.round(coarse.continuous, 0)
+    # zeros of both signs reach the lerp, the median and the min/max
+    zeros = np.flatnonzero(coarse.continuous == 0.0)
+    coarse.continuous.flat[zeros[::2]] = -0.0
+    coarse.continuous[1::3, 1] = np.nan   # m = 1 at n = 2
+    for n in (1, 2, 3, 4, 101, len(coarse)):
+        _assert_matches_oracles(coarse.take(np.arange(n)), [coarse],
+                                SPEC.hc_vocab_sizes, 50)
+    # with mixed zeros too, the stats do not depend on the row order
+    shuffled = coarse.take(np.random.default_rng(0).permutation(len(coarse)))
+    stats = [P.Preprocessor(SPEC.hc_vocab_sizes).fit(c).cont_stats
+             for c in (coarse, shuffled)]
+    assert _bits([list(vars(s).values()) for s in stats[0]]) == _bits(
+        [list(vars(s).values()) for s in stats[1]])
+    # hard bounds, a scaler override and a degenerate (zero-span) column
+    bounds = {0: (-0.5, 0.5), 3: (0.0, 0.0), 99: (0.0, 1.0)}
+    _assert_matches_oracles(train, [test], SPEC.hc_vocab_sizes, 50, bounds)
+    mins, maxs = P.Preprocessor(SPEC.hc_vocab_sizes).fit(train).scaler_stats()
+    _assert_matches_oracles(train, [test], SPEC.hc_vocab_sizes, 50,
+                            override=(mins - 0.25, maxs.astype(np.float32)))
+
+
+def test_transform_unseen_codes_and_surgeons_match_oracle():
+    cohort = _cohort(missing_rate=0.1)
+    train, val, test = P.chronological_split(cohort)
+    # train sees only even codes and surgeons below 20
+    train.categorical[train.categorical % 2 == 1] = -1
+    train.surgeon_id[:] = train.surgeon_id % 20
+    # foreign codes: the last in-vocab code (code + 1 == vocab), codes past
+    # the vocabulary, surgeons past the surgeon vocabulary
+    test.categorical[::3, 0] = SPEC.hc_vocab_sizes[0] - 1
+    test.categorical[1::3, 1] = 999
+    test.surgeon_id[::4] = 60
+    _assert_matches_oracles(train, [val, test], SPEC.hc_vocab_sizes, 50)
+    _assert_matches_oracles(train, [test], SPEC.hc_vocab_sizes, 10)
+
+
+def test_fit_all_missing_column_raises():
+    cohort = _cohort()
+    holed = cohort.take(np.arange(len(cohort)))
+    holed.continuous[:, 4] = np.nan
+    with pytest.raises(P.FitError, match="cont_04"):
+        P.Preprocessor(SPEC.hc_vocab_sizes).fit(holed)
+    with pytest.raises(P.FitError, match="cont_04"):
+        _fit_oracle(holed, SPEC.hc_vocab_sizes)
