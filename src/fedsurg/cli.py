@@ -19,8 +19,9 @@ from pathlib import Path
 
 from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
-from .federation import Coordinator, FederationResult
+from .federation import coordinate
 from .model import load_checkpoint, save_checkpoint, predict
+from .preprocess import chronological_split
 from .wire import connect_socket, serve_sockets
 
 log = logging.getLogger("fedsurg")
@@ -35,15 +36,17 @@ def _out(cfg: exp.ExperimentConfig) -> Path:
     return out
 
 
+def _load_cohort(out: Path, name: str):
+    path = out / "cohorts" / f"{name}.csv"
+    if not path.exists():
+        raise SystemExit(
+            f"missing cohort file {path}; run `fedsurg generate` first")
+    return cohort_from_csv(path)
+
+
 def _load_cohorts(cfg: exp.ExperimentConfig, out: Path):
-    cohorts = {}
-    for entry in cfg.sites:
-        path = out / "cohorts" / f"{entry.config.site_name}.csv"
-        if not path.exists():
-            raise SystemExit(
-                f"missing cohort file {path}; run `fedsurg generate` first")
-        cohorts[entry.config.site_name] = cohort_from_csv(path)
-    return cohorts
+    return {entry.config.site_name: _load_cohort(out, entry.config.site_name)
+            for entry in cfg.sites}
 
 
 def cmd_generate(cfg: exp.ExperimentConfig, args) -> int:
@@ -204,29 +207,24 @@ def cmd_serve_coordinator(cfg: exp.ExperimentConfig, args) -> int:
              cfg.host, cfg.port, len(expected))
     channels, _port = serve_sockets(cfg.host, cfg.port, len(expected))
     try:
-        coordinator = Coordinator(cfg.arch, args.algo,
-                                  exp.federated_train_config(cfg, args.algo),
-                                  channels, expected)
-        result: FederationResult = coordinator.run()
+        result = coordinate(cfg.arch, args.algo,
+                            exp.federated_train_config(cfg, args.algo),
+                            channels, expected)
     finally:
         for chan in channels:
             chan.close()
-    name = f"{args.algo}_socket"
-    save_checkpoint(out / "checkpoints" / f"{name}.ckpt",
-                    result.best_params, cfg.arch)
-    exp.write_history_csv(out / "history" / f"{name}.csv", result.history)
+    _save_single(out, f"{args.algo}_socket", cfg.arch, result)
     print(f"federated run complete: best round {result.best_round}, "
           f"mean val AUROC {result.best_score:.4f}")
     return 0
 
 
 def cmd_serve_site(cfg: exp.ExperimentConfig, args) -> int:
-    out = _out(cfg)
-    cohorts = _load_cohorts(cfg, out)
     if args.site not in cfg.development_sites:
         raise SystemExit(f"{args.site!r} is not a development site")
-    sites = exp.prepare_sites(cfg, cohorts)
-    worker = exp.build_workers(cfg, sites, args.algo)[args.site]
+    # a site reads only its own cohort
+    train, val, _test = chronological_split(_load_cohort(_out(cfg), args.site))
+    worker = exp.site_worker(cfg, args.site, train, val, args.algo)
     channel = connect_socket(cfg.host, cfg.port)
     try:
         worker.run(channel)

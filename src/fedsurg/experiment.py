@@ -21,12 +21,12 @@ import yaml
 from . import metrics
 from .cohort import (Cohort, FeatureSpec, GenerationReport, GroundTruthModel,
                      OUTCOME_NAMES, SiteConfig, generate_site, make_ground_truth)
-from .federation import (EarlyStopping, FederationResult, RoundRecord,
-                         SiteWorker, TrainConfig, run_federation_inprocess,
-                         validation_auroc)
+from .federation import (RoundRecord, SiteWorker, TrainConfig, TrainResult,
+                         run_federation_inprocess, run_rounds, validation_auroc)
 from .model import (ArchConfig, Batch, ModelParams, init_params, local_train,
                     predict)
 from .preprocess import Preprocessor, chronological_split, merge_scaler_stats
+from .wire import quantize32
 
 
 class ConfigError(ValueError):
@@ -183,10 +183,8 @@ class SiteData:
 def shared_scaler(stats: list[tuple[np.ndarray, np.ndarray]]
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Envelope of per-site stats after the transport's float32 round-trip."""
-    quantized = [(np.asarray(m, dtype=np.float32).astype(np.float64),
-                  np.asarray(x, dtype=np.float32).astype(np.float64))
-                 for m, x in stats]
-    return merge_scaler_stats(quantized)
+    quantized = [quantize32({"mins": m, "maxs": x}) for m, x in stats]
+    return merge_scaler_stats([(q["mins"], q["maxs"]) for q in quantized])
 
 
 def prepare_sites(cfg: ExperimentConfig, cohorts: dict[str, Cohort]
@@ -240,40 +238,27 @@ def _names_rng(seed: int, names: tuple[str, ...]) -> np.random.Generator:
         [seed] + [zlib.crc32(n.encode()) for n in sorted(names)])
 
 
-@dataclass
-class SingleResult:
-    best_params: ModelParams
-    best_round: int
-    best_score: float
-    history: list[RoundRecord]
-
-
 def train_single(arch: ArchConfig, train_fm: Batch, val_fm: Batch,
-                 cfg: TrainConfig, names: tuple[str, ...]) -> SingleResult:
-    """Epoch loop with validation-AUROC model selection and patience.
+                 cfg: TrainConfig, names: tuple[str, ...]) -> TrainResult:
+    """One epoch per round of ``run_rounds``, each scored on ``val_fm``.
 
     The RNG stream is keyed by (seed, participating site names), so
     central training on a single site is bit-identical to local training
     on that site.
     """
     rng = _names_rng(cfg.seed, names)
-    params = init_params(arch, cfg.seed)
-    best = EarlyStopping(dict(params), cfg.patience)
-    history: list[RoundRecord] = []
     label = "+".join(sorted(names))
-    for t in range(cfg.rounds):
+
+    def one_epoch(t: int, params: ModelParams):
         rep = local_train(params, arch, train_fm, cfg, rng)
-        params = rep.params
-        val = validation_auroc(predict(params, arch, val_fm), val_fm.labels)
-        mean_val = float(np.mean(val))
-        history.append(RoundRecord(t, val, {label: rep.mean_loss}, mean_val))
-        if best.offer(t, mean_val, params):
-            break
-    return SingleResult(best.params, best.round, best.score, history)
+        val = validation_auroc(predict(rep.params, arch, val_fm), val_fm.labels)
+        return rep.params, val, {label: rep.mean_loss}, rep.params
+
+    return run_rounds(init_params(arch, cfg.seed), cfg, one_epoch)
 
 
 def run_local_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
-                       ) -> dict[str, SingleResult]:
+                       ) -> dict[str, TrainResult]:
     out = {}
     for name in cfg.development_sites:
         sd = sites[name]
@@ -284,7 +269,7 @@ def run_local_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
 
 
 def run_central_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
-                         ) -> tuple[SingleResult, Preprocessor]:
+                         ) -> tuple[TrainResult, Preprocessor]:
     pp = central_preprocessor(cfg, sites)
     names = tuple(cfg.development_sites)
     train_fm = concat_batches([pp.transform(sites[n].train) for n in names])
@@ -297,20 +282,19 @@ def federated_train_config(cfg: ExperimentConfig, algo: str) -> TrainConfig:
     return cfg.train if algo == "fedprox" else replace(cfg.train, mu=0.0)
 
 
-def build_workers(cfg: ExperimentConfig, sites: dict[str, SiteData],
-                  algo: str) -> dict[str, SiteWorker]:
-    train = federated_train_config(cfg, algo)
-    return {
-        name: SiteWorker(name, sites[name].train, sites[name].val,
-                         cfg.arch, algo, train,
-                         cfg.site(name).config.surgeon_vocab_size)
-        for name in cfg.development_sites
-    }
+def site_worker(cfg: ExperimentConfig, name: str, train: Cohort, val: Cohort,
+                algo: str) -> SiteWorker:
+    """The federation client of development site ``name``."""
+    return SiteWorker(name, train, val, cfg.arch, algo,
+                      federated_train_config(cfg, algo),
+                      cfg.site(name).config.surgeon_vocab_size)
 
 
 def run_federated_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
-                           algo: str) -> FederationResult:
-    workers = build_workers(cfg, sites, algo)
+                           algo: str) -> TrainResult:
+    workers = {name: site_worker(cfg, name, sites[name].train, sites[name].val,
+                                 algo)
+               for name in cfg.development_sites}
     return run_federation_inprocess(cfg.arch, algo,
                                     federated_train_config(cfg, algo), workers)
 

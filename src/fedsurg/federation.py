@@ -6,6 +6,9 @@ coordinator drives it either in process, one site after another through
 the frame codec on the calling thread, or over TCP sockets (one process
 per site). Full participation every round; aggregation iterates clients
 in sorted id order so results are independent of arrival order.
+
+``run_rounds`` is the model-selection loop of every paradigm: local and
+central training run it over epochs, the coordinator over rounds.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ def scaffold_server_update(state: ScaffoldState, x: ModelParams,
     return new_x
 
 
-# --- coordinator ----------------------------------------------------------
+# --- round loop -----------------------------------------------------------
 
 @dataclass
 class RoundRecord:
@@ -162,139 +165,130 @@ class RoundRecord:
 
 
 @dataclass
-class EarlyStopping:
-    """Validation-score model selection with patience: keeps the first
-    parameters with the highest score, replaced only by a strict
-    improvement."""
-    params: ModelParams
-    patience: int
-    score: float = -np.inf
-    round: int = -1
-    since_best: int = 0
-
-    def offer(self, t: int, score: float, params: ModelParams) -> bool:
-        """Record round t's score; True once ``patience`` rounds in a row
-        have not improved on the best."""
-        if score > self.score:
-            self.params, self.score, self.round = dict(params), score, t
-            self.since_best = 0
-        else:
-            self.since_best += 1
-        return self.since_best >= self.patience
-
-
-@dataclass
-class FederationResult:
+class TrainResult:
     best_params: ModelParams
     best_round: int
     best_score: float
     final_params: ModelParams
     history: list[RoundRecord]
-    scaffold: ScaffoldState | None
+    scaffold: ScaffoldState | None = None
     params_trace: list[ModelParams] = field(default_factory=list)
-    global_scaler: tuple[np.ndarray, np.ndarray] | None = None
 
 
-class Coordinator:
-    """Server side of one federated training run."""
+def run_rounds(params: ModelParams, cfg: TrainConfig, one_round,
+               record_params: bool = False) -> TrainResult:
+    """Validation-score model selection with patience, the one rule of
+    every paradigm: keep the first parameters with the highest mean
+    validation AUROC, replaced only by a strict improvement, and stop once
+    ``cfg.patience`` rounds in a row have not improved on the best.
 
-    def __init__(self, arch: ArchConfig, algo: str, cfg: TrainConfig,
-                 channels: list, expected_clients: list[str],
-                 record_params: bool = False):
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-        self.arch = arch
-        self.algo = algo
-        self.cfg = cfg
-        self.channels = channels
-        self.expected = sorted(expected_clients)
-        self.record_params = record_params
-
-    def _handshake(self) -> dict[str, object]:
-        fingerprint = arch_fingerprint(self.arch)
-        by_id: dict[str, object] = {}
-        for chan in self.channels:
-            msg = chan.recv()
-            if not isinstance(msg, Hello):
-                raise HandshakeError(f"expected Hello, got {type(msg).__name__}")
-            if msg.arch_fingerprint != fingerprint:
-                chan.send(Shutdown())
-                raise HandshakeError(
-                    f"client {msg.client_id!r} has architecture fingerprint "
-                    f"{msg.arch_fingerprint}, federation uses {fingerprint}")
-            if msg.client_id in by_id:
-                chan.send(Shutdown())
-                raise HandshakeError(f"duplicate client id {msg.client_id!r}")
-            if msg.client_id not in self.expected:
-                chan.send(Shutdown())
-                raise HandshakeError(f"unknown client id {msg.client_id!r}")
-            by_id[msg.client_id] = chan
-            chan.send(RoundAck(0))
-        missing = set(self.expected) - set(by_id)
-        if missing:
-            raise HandshakeError(f"clients never connected: {sorted(missing)}")
-        return by_id
-
-    def _recv_from(self, by_id, cid: str):
-        try:
-            return by_id[cid].recv()
-        except (ChannelClosed, OSError) as exc:
-            raise ClientFailure(cid, exc)
-
-    def run(self) -> FederationResult:
-        by_id = self._handshake()
-
-        stats = []
-        for cid in self.expected:
-            msg = self._recv_from(by_id, cid)
-            if not isinstance(msg, ScalerStats):
-                raise FederationError(f"expected ScalerStats from {cid!r}")
-            stats.append((msg.mins, msg.maxs))
-        gmins, gmaxs = merge_scaler_stats(stats)
-        for cid in self.expected:
-            by_id[cid].send(GlobalScaler(gmins, gmaxs))
-
-        params = init_params(self.arch, self.cfg.seed)
-        scaffold = (ScaffoldState.zeros(params, self.expected)
-                    if self.algo == "scaffold" else None)
-        history: list[RoundRecord] = []
-        trace: list[ModelParams] = []
-        best = EarlyStopping(dict(params), self.cfg.patience)
-
-        for t in range(self.cfg.rounds):
-            control = scaffold.server_control if scaffold else None
-            for cid in self.expected:
-                by_id[cid].send(GlobalModel(t, params, control))
-            updates = []
-            for cid in self.expected:
-                msg = self._recv_from(by_id, cid)
-                if not isinstance(msg, ClientUpdate) or msg.round != t:
-                    raise FederationError(
-                        f"client {cid!r} replied out of protocol at round {t}")
-                updates.append(msg)
-
-            val = np.mean([u.val_auroc for u in updates], axis=0)
-            mean_val = float(val.mean())
-            history.append(RoundRecord(
-                t, tuple(float(v) for v in val),
-                {u.client_id: float(u.train_loss) for u in updates}, mean_val))
-            # the clients scored the model they were sent, not the aggregate
-            stop = best.offer(t, mean_val, params)
-
-            if self.algo == "scaffold":
-                params = scaffold_server_update(
-                    scaffold, params, updates, self.cfg.server_lr)
-            else:
-                params = fedavg_aggregate(updates)
-            if self.record_params:
-                trace.append(dict(params))
-            if stop:
+    ``one_round(t, params)`` returns the parameters it scored, their
+    per-outcome validation AUROC, the train loss per participant and the
+    parameters the next round starts from."""
+    history: list[RoundRecord] = []
+    trace: list[ModelParams] = []
+    best_params, best_round, best_score = dict(params), -1, -np.inf
+    since_best = 0
+    for t in range(cfg.rounds):
+        scored, val, losses, params = one_round(t, params)
+        val = tuple(float(v) for v in val)
+        mean_val = float(np.mean(val))
+        history.append(RoundRecord(t, val, losses, mean_val))
+        if record_params:
+            trace.append(dict(params))
+        if mean_val > best_score:
+            best_params, best_round, best_score = dict(scored), t, mean_val
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
                 break
+    return TrainResult(best_params, best_round, best_score, params, history,
+                       params_trace=trace)
 
-        for cid in self.expected:
-            by_id[cid].send(Shutdown())
-        return FederationResult(best.params, best.round, best.score, params,
-                                history, scaffold, trace, (gmins, gmaxs))
+
+# --- coordinator ----------------------------------------------------------
+
+def _handshake(channels: list, arch: ArchConfig, expected: list[str]
+               ) -> dict[str, object]:
+    fingerprint = arch_fingerprint(arch)
+    by_id: dict[str, object] = {}
+    for chan in channels:
+        msg = chan.recv()
+        if not isinstance(msg, Hello):
+            raise HandshakeError(f"expected Hello, got {type(msg).__name__}")
+        if msg.arch_fingerprint != fingerprint:
+            chan.send(Shutdown())
+            raise HandshakeError(
+                f"client {msg.client_id!r} has architecture fingerprint "
+                f"{msg.arch_fingerprint}, federation uses {fingerprint}")
+        if msg.client_id in by_id:
+            chan.send(Shutdown())
+            raise HandshakeError(f"duplicate client id {msg.client_id!r}")
+        if msg.client_id not in expected:
+            chan.send(Shutdown())
+            raise HandshakeError(f"unknown client id {msg.client_id!r}")
+        by_id[msg.client_id] = chan
+        chan.send(RoundAck(0))
+    missing = set(expected) - set(by_id)
+    if missing:
+        raise HandshakeError(f"clients never connected: {sorted(missing)}")
+    return by_id
+
+
+def _receive(chan, cid: str, want: type, round_: int | None = None):
+    """The next message from site ``cid``, which must be a ``want`` (of
+    round ``round_``, if given)."""
+    try:
+        msg = chan.recv()
+    except (ChannelClosed, OSError) as exc:
+        raise ClientFailure(cid, exc) from exc
+    if not isinstance(msg, want) or (round_ is not None and msg.round != round_):
+        at = "" if round_ is None else f" at round {round_}"
+        raise FederationError(
+            f"client {cid!r} replied {type(msg).__name__} out of protocol"
+            f"{at}, expected {want.__name__}")
+    return msg
+
+
+def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
+               expected: list[str], record_params: bool = False) -> TrainResult:
+    """Server side of one federated training run: handshake, the shared
+    scaler, then rounds of local training and aggregation until
+    ``run_rounds`` stops; every site gets Shutdown at the end."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    expected = sorted(expected)
+    by_id = _handshake(channels, arch, expected)
+    stats = [_receive(by_id[cid], cid, ScalerStats) for cid in expected]
+    gmins, gmaxs = merge_scaler_stats([(m.mins, m.maxs) for m in stats])
+    for cid in expected:
+        by_id[cid].send(GlobalScaler(gmins, gmaxs))
+
+    params = init_params(arch, cfg.seed)
+    scaffold = (ScaffoldState.zeros(params, expected)
+                if algo == "scaffold" else None)
+
+    def one_round(t: int, params: ModelParams):
+        control = scaffold.server_control if scaffold else None
+        for cid in expected:
+            by_id[cid].send(GlobalModel(t, params, control))
+        updates = [_receive(by_id[cid], cid, ClientUpdate, t)
+                   for cid in expected]
+        val = np.mean([u.val_auroc for u in updates], axis=0)
+        losses = {u.client_id: float(u.train_loss) for u in updates}
+        if scaffold:
+            nxt = scaffold_server_update(scaffold, params, updates, cfg.server_lr)
+        else:
+            nxt = fedavg_aggregate(updates)
+        # the clients scored the model they were sent, not the aggregate
+        return params, val, losses, nxt
+
+    result = run_rounds(params, cfg, one_round, record_params)
+    for cid in expected:
+        by_id[cid].send(Shutdown())
+    result.scaffold = scaffold
+    return result
 
 
 # --- site worker ----------------------------------------------------------
@@ -436,9 +430,8 @@ class LoopbackChannel:
 
 def run_federation_inprocess(arch: ArchConfig, algo: str, cfg: TrainConfig,
                              workers: dict[str, SiteWorker],
-                             record_params: bool = False) -> FederationResult:
-    """Coordinator and every site worker, in sorted site order, on the
+                             record_params: bool = False) -> TrainResult:
+    """The coordinator and every site worker, in sorted site order, on the
     calling thread."""
     channels = [LoopbackChannel(workers[cid]) for cid in sorted(workers)]
-    return Coordinator(arch, algo, cfg, channels, sorted(workers),
-                       record_params).run()
+    return coordinate(arch, algo, cfg, channels, sorted(workers), record_params)

@@ -74,9 +74,6 @@ class Batch:
         )
 
 
-HEAD_NAMES = ("icu", "mv", "aki", "mortality")
-
-
 def param_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     """Ordered layout of the parameter set, derived only from arch."""
     h, m = arch.branch_hidden, arch.merge_hidden
@@ -224,7 +221,7 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 class CheckpointFormatError(ValueError):
-    """A checkpoint file that is not, or no longer, a whole checkpoint."""
+    """A checkpoint or delta file that is not, or no longer, whole."""
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -232,7 +229,7 @@ def _read_exact(fh, n: int) -> bytes:
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
         raise CheckpointFormatError(
-            f"{fh.name}: truncated checkpoint (wanted {n} bytes at offset "
+            f"{fh.name}: truncated file (wanted {n} bytes at offset "
             f"{fh.tell()}, {left} left)")
     return fh.read(n)
 

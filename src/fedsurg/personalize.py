@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .model import (ArchConfig, Batch, ModelParams, _build_leaves,
-                    _read_tensor, _write_tensor, glorot_bound,
-                    merge_activation_from_nodes, params_digest)
+from .model import (ArchConfig, Batch, CheckpointFormatError, ModelParams,
+                    _build_leaves, _read_exact, _read_tensor, _unpack,
+                    _write_tensor, glorot_bound, merge_activation_from_nodes,
+                    params_digest)
 
 
 @dataclass
@@ -121,10 +122,11 @@ def save_delta(path, pm: PersonalizedModel) -> None:
 
 
 def load_delta(path, backbone: ModelParams, arch: ArchConfig) -> PersonalizedModel:
+    """A file that is not a whole delta raises CheckpointFormatError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _DELTA_MAGIC:
-            raise ValueError(f"{path} is not a personalization delta")
-        (count,) = struct.unpack("<I", fh.read(4))
+        if _read_exact(fh, 4) != _DELTA_MAGIC:
+            raise CheckpointFormatError(f"{path} is not a personalization delta")
+        count = _unpack(fh, "<I")
         tensors = dict(_read_tensor(fh) for _ in range(count))
     table = tensors.pop("surgeon.table")
     return PersonalizedModel(dict(backbone), arch, table, tensors)

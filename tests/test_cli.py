@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from fedsurg import cli
+from fedsurg.wire import Hello, Shutdown
 
 
 def _config(tmp_path):
@@ -134,3 +135,32 @@ def test_train_without_cohorts_errors(tmp_path):
     cfg_path, _ = _config(tmp_path)
     with pytest.raises(SystemExit):
         cli.main(["train", "--config", str(cfg_path)])
+
+
+class _ShutdownChannel:
+    """A coordinator that ends the session as soon as the site says Hello."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+
+    def recv(self):
+        return Shutdown()
+
+    def close(self):
+        pass
+
+
+def test_serve_site_reads_only_its_own_cohort(tmp_path, monkeypatch):
+    cfg_path, out = _config(tmp_path)
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+    for other in ("b", "x"):
+        (out / "cohorts" / f"{other}.csv").unlink()
+    channel = _ShutdownChannel()
+    monkeypatch.setattr(cli, "connect_socket", lambda host, port: channel)
+    assert cli.main(["serve-site", "--config", str(cfg_path),
+                     "--site", "a"]) == 0
+    assert [type(m) for m in channel.sent] == [Hello]
+    assert channel.sent[0].client_id == "a"

@@ -10,8 +10,8 @@ from fedsurg import cohort as C
 from fedsurg import federation as F
 from fedsurg import model as M
 from fedsurg.preprocess import Preprocessor, chronological_split
-from fedsurg.wire import (ClientUpdate, GlobalModel, GlobalScaler, RoundAck,
-                          ScalerStats, quantize32)
+from fedsurg.wire import (ClientUpdate, GlobalModel, GlobalScaler, Hello,
+                          RoundAck, ScalerStats, quantize32)
 from fedsurg.experiment import shared_scaler
 from conftest import SMALL_ARCH, random_batch
 
@@ -105,6 +105,75 @@ def test_train_config_validation():
         F.TrainConfig(lr=-1.0)
     with pytest.raises(ValueError):
         F.TrainConfig(rounds=0)
+
+
+# --- the round loop ---------------------------------------------------------
+
+def _scripted(scores):
+    """A round that scores the parameters it gets with scores[t] on every
+    outcome, and hands on w + 1."""
+    calls = []
+
+    def one_round(t, params):
+        calls.append(t)
+        nxt = {"w": params["w"] + 1.0}
+        return params, (scores[t],) * 4, {"site": float(t)}, nxt
+
+    return one_round, calls
+
+
+def _run(scores, patience, record_params=False):
+    one_round, calls = _scripted(scores)
+    cfg = F.TrainConfig(rounds=len(scores), patience=patience)
+    result = F.run_rounds({"w": np.zeros(1)}, cfg, one_round, record_params)
+    return result, calls
+
+
+def test_run_rounds_tie_keeps_the_first_best():
+    result, _ = _run([0.5, 0.75, 0.75, 0.625], patience=5)
+    assert (result.best_round, result.best_score) == (1, 0.75)
+    assert result.best_params["w"][0] == 1.0  # the scored, not the next params
+    assert [h.mean_val for h in result.history] == [0.5, 0.75, 0.75, 0.625]
+    assert result.history[2].val_auroc == (0.75,) * 4
+    assert result.history[2].train_loss == {"site": 2.0}
+
+
+def test_run_rounds_strict_improvement_resets_patience():
+    # without the reset at round 2 the loop would stop after round 2
+    result, calls = _run([0.5, 0.25, 0.625, 0.25, 0.25, 0.875], patience=2)
+    assert calls == [0, 1, 2, 3, 4]
+    assert result.best_round == 2
+
+
+def test_run_rounds_stops_after_exactly_patience_flat_rounds():
+    result, calls = _run([0.75, 0.25, 0.75, 0.5, 0.875, 0.875], patience=3)
+    assert calls == [0, 1, 2, 3]
+    assert len(result.history) == 4
+    assert result.best_round == 0
+    result, calls = _run([0.75, 0.25, 0.75], patience=3)
+    assert calls == [0, 1, 2]  # rounds run out first
+
+
+def test_run_rounds_final_params_are_the_last_next_params():
+    result, calls = _run([0.5, 0.25, 0.125], patience=2)
+    assert calls == [0, 1, 2]
+    assert result.final_params["w"][0] == 3.0
+    assert result.best_params["w"][0] == 0.0
+    assert result.scaffold is None
+
+
+def test_run_rounds_records_params_only_when_asked():
+    result, _ = _run([0.5, 0.625, 0.75], patience=3)
+    assert result.params_trace == []
+    result, _ = _run([0.5, 0.625, 0.75], patience=3, record_params=True)
+    assert [p["w"][0] for p in result.params_trace] == [1.0, 2.0, 3.0]
+
+
+def test_run_rounds_never_selects_a_nan_score():
+    result, calls = _run([float("nan")] * 3, patience=2)
+    assert calls == [0, 1]
+    assert (result.best_round, result.best_score) == (-1, -np.inf)
+    assert result.best_params["w"][0] == 0.0
 
 
 # --- end-to-end in-process runs -------------------------------------------
@@ -277,3 +346,30 @@ def test_worker_rejects_model_before_scaler():
     with pytest.raises(F.FederationError):
         worker.handle(GlobalModel(0, M.init_params(SMALL_ARCH, 0)))
     assert worker.handle(GlobalScaler(stats.mins, stats.maxs)) is None
+
+
+class _StatsEverywhere:
+    """A site that answers every RoundAck and GlobalModel with ScalerStats."""
+
+    def __init__(self, name):
+        n = SMALL_ARCH.n_continuous
+        self.stats = ScalerStats(np.zeros(n), np.ones(n))
+        self.replies = [Hello(name, M.arch_fingerprint(SMALL_ARCH))]
+
+    def send(self, msg):
+        if isinstance(msg, (RoundAck, GlobalModel)):
+            self.replies.append(self.stats)
+
+    def recv(self):
+        return self.replies.pop(0)
+
+
+def test_coordinate_names_a_site_out_of_protocol():
+    cfg = _cfg(rounds=2)
+    worker = _workers("fedavg", cfg, names=("a",))["a"]
+    channels = [F.LoopbackChannel(worker), _StatsEverywhere("b")]
+    with pytest.raises(F.FederationError, match="'b'") as info:
+        F.coordinate(SMALL_ARCH, "fedavg", cfg, channels, ["a", "b"])
+    assert not isinstance(info.value, F.ClientFailure)
+    assert "ScalerStats" in str(info.value)
+    assert "ClientUpdate" in str(info.value)

@@ -1,6 +1,8 @@
 """Surgeon-identity fine-tuning: warm-start equivalence, backbone
 freeze and the delta artifact."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,17 @@ def test_delta_roundtrip(tmp_path):
         bad = tmp_path / "bad.delta"
         bad.write_bytes(b"NOPE" + b"\x00" * 8)
         P.load_delta(bad, params, SMALL_ARCH)
+
+
+def test_truncated_delta_raises_format_error(tmp_path):
+    params, _ = _setup()
+    path = tmp_path / "site.delta"
+    P.save_delta(path, P.warm_start(params, SMALL_ARCH, VOCAB))
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.delta"
+    # every offset in the header and the first tensor's header, then a stride
+    for size in [*range(64), *range(64, len(raw), 37), len(raw) - 1]:
+        cut.write_bytes(raw[:size])
+        with pytest.raises(M.CheckpointFormatError, match="truncated") as info:
+            P.load_delta(cut, params, SMALL_ARCH)
+        assert re.search(re.escape(str(cut)), str(info.value))
