@@ -21,7 +21,7 @@ from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
 from .federation import coordinate
 from .model import load_checkpoint, save_checkpoint, predict
-from .preprocess import chronological_split
+from .preprocess import Preprocessor, chronological_split
 from .wire import connect_socket, serve_sockets
 
 log = logging.getLogger("fedsurg")
@@ -115,22 +115,33 @@ def _model_checkpoints(cfg: exp.ExperimentConfig, out: Path):
     return found
 
 
+def _central_preprocessor(out: Path) -> Preprocessor:
+    path = out / "checkpoints" / "central_preprocessor.json"
+    if not path.exists():
+        raise SystemExit(f"missing {path}, which the central checkpoint is "
+                         "scored through; run `fedsurg train` again")
+    return Preprocessor.from_json(path.read_text())
+
+
 def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     out = _out(cfg)
     sites = exp.prepare_sites(cfg, _load_cohorts(cfg, out))
     checkpoints = _model_checkpoints(cfg, out)
+    central_pp = (_central_preprocessor(out) if "central" in checkpoints
+                  else None)
     cells = {}
     for site_name, sd in sorted(sites.items()):
-        # Local models score foreign sites through that site's own local
-        # scaler; shared-scaler models use the federated one. Each split is
-        # transformed once per scaler, and one site's matrices live at a time.
+        # Each model scores through the preprocessor it was trained with:
+        # the scored site's local fit for local models, the pooled fit for
+        # central, the shared scaler for federated models. Each split is
+        # transformed once per preprocessor; one site's matrices live at a time.
         features = {}
         for model_name, params in sorted(checkpoints.items()):
-            local = model_name.startswith("local_")
-            if local not in features:
-                pp = sd.pp_local if local else sd.pp_fed
-                features[local] = (pp.transform(sd.test), pp.transform(sd.val))
-            test_fm, val_fm = features[local]
+            pp = (sd.pp_local if model_name.startswith("local_")
+                  else central_pp if model_name == "central" else sd.pp_fed)
+            if pp not in features:
+                features[pp] = (pp.transform(sd.test), pp.transform(sd.val))
+            test_fm, val_fm = features[pp]
             probs = predict(params, cfg.arch, test_fm)
             val_probs = predict(params, cfg.arch, val_fm)
             exp.write_scores_csv(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +46,10 @@ class SiteEntry:
 @dataclass
 class ExperimentConfig:
     seed: int
-    output_dir: str
-    features: FeatureSpec
     sites: list[SiteEntry]
     train: TrainConfig
+    output_dir: str = "out"
+    features: FeatureSpec = field(default_factory=FeatureSpec)
     embed_dim: int = 16
     branch_hidden: int = 32
     merge_hidden: int = 64
@@ -107,48 +107,53 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc)
 
 
+# YAML section -> (prefix of its ExperimentConfig fields, its keys)
+_SECTIONS = {"arch": ("", ("embed_dim", "branch_hidden", "merge_hidden")),
+             "evaluate": ("", ("n_boot",)),
+             "fine_tune": ("fine_tune_", ("epochs", "embed_dim")),
+             "transport": ("", ("host", "port"))}
+_TOP_LEVEL = ("seed", "output_dir", "signal_scale", "algorithms")
+
+
+def _known(doc, allowed, where: str) -> dict:
+    """``doc`` with its lists as tuples, once every key is in ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Defaults are those of the config dataclasses; every section, and the
+    top level, rejects a key it does not know."""
+    doc = _known(doc, {"features", "train", "sites", *_TOP_LEVEL, *_SECTIONS},
+                 "the experiment config")
     try:
-        feats = doc.get("features", {})
-        features = FeatureSpec(
-            n_continuous=feats.get("n_continuous", 60),
-            n_binary=feats.get("n_binary", 30),
-            hc_vocab_sizes=tuple(feats.get(
-                "hc_vocab_sizes", FeatureSpec().hc_vocab_sizes)),
-        )
-        seed = int(doc["seed"])
-        train_doc = dict(doc.get("train", {}))
-        train_doc.setdefault("seed", seed)
-        train = TrainConfig(**train_doc)
+        kw = {k: doc[k] for k in _TOP_LEVEL if k in doc}
+        kw["seed"] = int(doc["seed"])
+        for section, (prefix, keys) in _SECTIONS.items():
+            sub = _known(doc.get(section, {}), keys, section)
+            kw.update((prefix + k, v) for k, v in sub.items())
+        features = _known(doc.get("features", {}), _field_names(FeatureSpec),
+                          "features")
+        train = _known(doc.get("train", {}), _field_names(TrainConfig), "train")
+        site_keys = _field_names(SiteConfig) - {"site_name"} | {"name", "role"}
         sites = []
-        for entry in doc["sites"]:
-            entry = dict(entry)
+        for i, entry in enumerate(doc["sites"]):
+            entry = _known(entry, site_keys, f"sites[{i}]")
             role = entry.pop("role", "development")
             entry["site_name"] = entry.pop("name")
-            if "target_prevalence" in entry:
-                entry["target_prevalence"] = tuple(entry["target_prevalence"])
-            if "date_range" in entry:
-                entry["date_range"] = tuple(entry["date_range"])
             sites.append(SiteEntry(SiteConfig(**entry), role))
-        arch_doc = doc.get("arch", {})
         return ExperimentConfig(
-            seed=seed,
-            output_dir=doc.get("output_dir", "out"),
-            features=features,
-            sites=sites,
-            train=train,
-            embed_dim=arch_doc.get("embed_dim", 16),
-            branch_hidden=arch_doc.get("branch_hidden", 32),
-            merge_hidden=arch_doc.get("merge_hidden", 64),
-            signal_scale=doc.get("signal_scale", 0.35),
-            algorithms=tuple(doc.get("algorithms",
-                                     ("fedavg", "fedprox", "scaffold"))),
-            n_boot=doc.get("evaluate", {}).get("n_boot", 1000),
-            fine_tune_epochs=doc.get("fine_tune", {}).get("epochs", 5),
-            fine_tune_embed_dim=doc.get("fine_tune", {}).get("embed_dim", 8),
-            host=doc.get("transport", {}).get("host", "127.0.0.1"),
-            port=doc.get("transport", {}).get("port", 9631),
-        )
+            features=FeatureSpec(**features),
+            train=TrainConfig(**{"seed": kw["seed"], **train}),
+            sites=sites, **kw)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
 

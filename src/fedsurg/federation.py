@@ -24,8 +24,8 @@ from .model import (ArchConfig, ModelParams, arch_fingerprint, init_params,
                     local_train, predict)
 from .preprocess import Preprocessor, merge_scaler_stats
 from .wire import (ChannelClosed, ClientUpdate, GlobalModel, GlobalScaler,
-                   Hello, Message, RoundAck, ScalerStats, Shutdown,
-                   decode_frame, encode_frame)
+                   Hello, Message, ProtocolError, RoundAck, ScalerStats,
+                   Shutdown, decode_frame, encode_frame)
 
 ALGORITHMS = ("fedavg", "fedprox", "scaffold")
 
@@ -241,7 +241,7 @@ def _receive(chan, cid: str, want: type, round_: int | None = None):
     round ``round_``, if given)."""
     try:
         msg = chan.recv()
-    except (ChannelClosed, OSError) as exc:
+    except (ChannelClosed, OSError, ProtocolError) as exc:
         raise ClientFailure(cid, exc) from exc
     if not isinstance(msg, want) or (round_ is not None and msg.round != round_):
         at = "" if round_ is None else f" at round {round_}"

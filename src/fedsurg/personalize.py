@@ -128,5 +128,15 @@ def load_delta(path, backbone: ModelParams, arch: ArchConfig) -> PersonalizedMod
             raise CheckpointFormatError(f"{path} is not a personalization delta")
         count = _unpack(fh, "<I")
         tensors = dict(_read_tensor(fh) for _ in range(count))
-    table = tensors.pop("surgeon.table")
+    table = tensors.pop("surgeon.table", None)
+    if table is None or table.ndim != 2:
+        raise CheckpointFormatError(f"{path} has no 2-D surgeon.table")
+    width = arch.merge_hidden + table.shape[1]
+    want = {name: shape for k in range(arch.n_outcomes)
+            for name, shape in ((f"phead{k}.W", (width, 1)),
+                                (f"phead{k}.b", (1,)))}
+    got = {name: arr.shape for name, arr in tensors.items()}
+    if got != want:
+        raise CheckpointFormatError(
+            f"{path} holds heads {got}; the model needs {want}")
     return PersonalizedModel(dict(backbone), arch, table, tensors)

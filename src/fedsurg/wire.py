@@ -11,11 +11,12 @@ cross the wire.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,12 +86,6 @@ class Shutdown:
     pass
 
 
-_MSG_TYPES = {
-    Hello: 1, ScalerStats: 2, GlobalScaler: 3, GlobalModel: 4,
-    ClientUpdate: 5, RoundAck: 6, Shutdown: 7,
-}
-_TYPE_MSGS = {v: k for k, v in _MSG_TYPES.items()}
-
 Message = Hello | ScalerStats | GlobalScaler | GlobalModel | ClientUpdate | RoundAck | Shutdown
 
 
@@ -99,32 +94,7 @@ def quantize32(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.astype(np.float32).astype(np.float64) for k, v in params.items()}
 
 
-# --- payload packing ------------------------------------------------------
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode()
-    return struct.pack("<H", len(raw)) + raw
-
-
-def _pack_vec(v: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(v, dtype="<f4")
-    return struct.pack("<BI", data.ndim, data.size) + \
-        b"".join(struct.pack("<I", d) for d in data.shape) + data.tobytes()
-
-
-def _pack_tensors(params: dict[str, np.ndarray]) -> bytes:
-    parts = [struct.pack("<H", len(params))]
-    for name, arr in params.items():
-        parts.append(_pack_str(name))
-        parts.append(_pack_vec(arr))
-    return b"".join(parts)
-
-
-def _pack_opt_tensors(params: dict[str, np.ndarray] | None) -> bytes:
-    if params is None:
-        return b"\x00"
-    return b"\x01" + _pack_tensors(params)
-
+# --- payload schema -------------------------------------------------------
 
 class _Reader:
     def __init__(self, buf: bytes):
@@ -138,97 +108,106 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
-
-    def string(self) -> str:
-        return self.take(self.u16()).decode()
-
-    def vec(self) -> np.ndarray:
-        ndim = self.u8()
-        size = self.u32()
-        shape = tuple(self.u32() for _ in range(ndim))
-        arr = np.frombuffer(self.take(4 * size), dtype="<f4").reshape(shape)
-        return arr.astype(np.float64)
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {self.string(): self.vec() for _ in range(self.u16())}
-
-    def opt_tensors(self) -> dict[str, np.ndarray] | None:
-        return self.tensors() if self.u8() else None
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _encode_payload(msg: Message) -> bytes:
-    if isinstance(msg, Hello):
-        return _pack_str(msg.client_id) + _pack_str(msg.arch_fingerprint)
-    if isinstance(msg, (ScalerStats, GlobalScaler)):
-        return _pack_vec(np.asarray(msg.mins)) + _pack_vec(np.asarray(msg.maxs))
-    if isinstance(msg, GlobalModel):
-        return (struct.pack("<q", msg.round) + _pack_tensors(msg.params)
-                + _pack_opt_tensors(msg.server_control))
-    if isinstance(msg, ClientUpdate):
-        return (_pack_str(msg.client_id) + struct.pack("<q", msg.round)
-                + _pack_tensors(msg.params)
-                + struct.pack("<qq", msg.n_samples, msg.steps)
-                + _pack_opt_tensors(msg.control_delta)
-                + struct.pack("<B", len(msg.val_auroc))
-                + b"".join(struct.pack("<f", v) for v in msg.val_auroc)
-                + struct.pack("<f", msg.train_loss))
-    if isinstance(msg, RoundAck):
-        return struct.pack("<q", msg.round)
-    if isinstance(msg, Shutdown):
-        return b""
-    raise ProtocolError(f"unknown message {type(msg).__name__}")
+def _scalar(fmt: str):
+    return (lambda v: struct.pack(fmt, v)), (lambda r: r.unpack(fmt)[0])
 
 
-def _decode_payload(msg_type: int, payload: bytes) -> Message:
-    r = _Reader(payload)
-    cls = _TYPE_MSGS.get(msg_type)
-    if cls is None:
-        raise ProtocolError(f"unknown message type {msg_type}")
-    if cls is Hello:
-        return Hello(r.string(), r.string())
-    if cls is ScalerStats:
-        return ScalerStats(r.vec(), r.vec())
-    if cls is GlobalScaler:
-        return GlobalScaler(r.vec(), r.vec())
-    if cls is GlobalModel:
-        return GlobalModel(r.i64(), r.tensors(), r.opt_tensors())
-    if cls is ClientUpdate:
-        client_id = r.string()
-        rnd = r.i64()
-        params = r.tensors()
-        n_samples = r.i64()
-        steps = r.i64()
-        control = r.opt_tensors()
-        val = tuple(r.f32() for _ in range(r.u8()))
-        loss = r.f32()
-        return ClientUpdate(client_id, rnd, params, n_samples, steps,
-                            control, val, loss)
-    if cls is RoundAck:
-        return RoundAck(r.i64())
-    return Shutdown()
+def _pack_str(s: str) -> bytes:
+    raw = s.encode()
+    return struct.pack("<H", len(raw)) + raw
+
+
+def _read_str(r: _Reader) -> str:
+    raw = r.take(r.unpack("<H")[0])
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"string is not UTF-8: {exc}") from exc
+
+
+def _pack_vec(v: np.ndarray) -> bytes:
+    data = np.ascontiguousarray(v, dtype="<f4")
+    return (struct.pack(f"<BI{data.ndim}I", data.ndim, data.size, *data.shape)
+            + data.tobytes())
+
+
+def _read_vec(r: _Reader) -> np.ndarray:
+    ndim, size = r.unpack("<BI")
+    shape = r.unpack(f"<{ndim}I")
+    # numpy 1.x holds at most 32 dims; the model's tensors have at most 2
+    if ndim > 32 or math.prod(shape) != size:
+        raise ProtocolError(f"tensor dims {shape} do not hold {size} values")
+    return np.frombuffer(r.take(4 * size), dtype="<f4").reshape(shape) \
+        .astype(np.float64)
+
+
+def _pack_tensors(params: dict[str, np.ndarray]) -> bytes:
+    return struct.pack("<H", len(params)) + b"".join(
+        _pack_str(name) + _pack_vec(arr) for name, arr in params.items())
+
+
+def _read_tensors(r: _Reader) -> dict[str, np.ndarray]:
+    return {_read_str(r): _read_vec(r) for _ in range(r.unpack("<H")[0])}
+
+
+def _pack_opt_tensors(params: dict[str, np.ndarray] | None) -> bytes:
+    return b"\x00" if params is None else b"\x01" + _pack_tensors(params)
+
+
+def _read_opt_tensors(r: _Reader) -> dict[str, np.ndarray] | None:
+    (present,) = r.unpack("<B")
+    if present > 1:
+        raise ProtocolError(f"optional-field flag {present}")
+    return _read_tensors(r) if present else None
+
+
+def _pack_f32s(values: tuple[float, ...]) -> bytes:
+    return struct.pack(f"<B{len(values)}f", len(values), *values)
+
+
+def _read_f32s(r: _Reader) -> tuple[float, ...]:
+    return r.unpack(f"<{r.unpack('<B')[0]}f")
+
+
+# one (pack, read) pair per field kind
+_STR = (_pack_str, _read_str)
+_I64 = _scalar("<q")
+_F32 = _scalar("<f")
+_VEC = (_pack_vec, _read_vec)
+_TENSORS = (_pack_tensors, _read_tensors)
+_OPT_TENSORS = (_pack_opt_tensors, _read_opt_tensors)
+_F32S = (_pack_f32s, _read_f32s)
+
+# message class -> (type code, field codecs in dataclass field order): the
+# payload is the fields' encodings back to back, with nothing after them
+_SCHEMA = {
+    Hello: (1, (_STR, _STR)),
+    ScalerStats: (2, (_VEC, _VEC)),
+    GlobalScaler: (3, (_VEC, _VEC)),
+    GlobalModel: (4, (_I64, _TENSORS, _OPT_TENSORS)),
+    ClientUpdate: (5, (_STR, _I64, _TENSORS, _I64, _I64, _OPT_TENSORS, _F32S,
+                       _F32)),
+    RoundAck: (6, (_I64,)),
+    Shutdown: (7, ()),
+}
+_BY_CODE = {code: (cls, codecs) for cls, (code, codecs) in _SCHEMA.items()}
 
 
 def encode_frame(msg: Message) -> bytes:
-    payload = _encode_payload(msg)
+    if type(msg) not in _SCHEMA:
+        raise ProtocolError(f"unknown message {type(msg).__name__}")
+    code, codecs = _SCHEMA[type(msg)]
+    payload = b"".join(
+        pack(getattr(msg, f.name))
+        for (pack, _), f in zip(codecs, fields(msg), strict=True))
     if len(payload) >= MAX_PAYLOAD:
         raise FrameSizeError(f"payload of {len(payload)} bytes exceeds limit")
-    return (MAGIC + bytes([VERSION, _MSG_TYPES[type(msg)]])
-            + struct.pack("<I", len(payload)) + payload
-            + struct.pack("<I", zlib.crc32(payload)))
+    return (MAGIC + bytes([VERSION, code]) + struct.pack("<I", len(payload))
+            + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
 HEADER_LEN = len(MAGIC) + 2 + 4
@@ -238,16 +217,18 @@ def decode_frame(buf: bytes) -> tuple[Message | None, int]:
     """Parse one frame from the head of ``buf``.
 
     Returns (message, bytes consumed), or (None, 0) when more bytes are
-    needed. Raises ProtocolError / CorruptionError on malformed input and
-    FrameSizeError when the header declares MAX_PAYLOAD bytes or more.
+    needed. Raises ProtocolError / CorruptionError on any malformed input
+    and FrameSizeError when the header declares MAX_PAYLOAD bytes or more.
     """
     if len(buf) < HEADER_LEN:
         return None, 0
     if buf[:4] != MAGIC:
-        raise ProtocolError(f"bad magic {buf[:4]!r}")
+        raise ProtocolError(f"bad magic {bytes(buf[:4])!r}")
     if buf[4] != VERSION:
         raise ProtocolError(f"unsupported protocol version {buf[4]}")
-    msg_type = buf[5]
+    if buf[5] not in _BY_CODE:
+        raise ProtocolError(f"unknown message type {buf[5]}")
+    cls, codecs = _BY_CODE[buf[5]]
     (payload_len,) = struct.unpack("<I", buf[6:10])
     if payload_len >= MAX_PAYLOAD:
         raise FrameSizeError(f"header declares {payload_len} payload bytes")
@@ -258,23 +239,12 @@ def decode_frame(buf: bytes) -> tuple[Message | None, int]:
     (crc,) = struct.unpack("<I", buf[total - 4:total])
     if crc != zlib.crc32(payload):
         raise CorruptionError("payload checksum mismatch")
-    return _decode_payload(msg_type, payload), total
-
-
-def messages_equal(a: Message, b: Message) -> bool:
-    """Structural equality, arrays compared exactly."""
-    if type(a) is not type(b):
-        return False
-
-    def eq(x, y):
-        if isinstance(x, np.ndarray):
-            return isinstance(y, np.ndarray) and x.shape == y.shape and bool((x == y).all())
-        if isinstance(x, dict):
-            return isinstance(y, dict) and x.keys() == y.keys() and \
-                all(eq(x[k], y[k]) for k in x)
-        return x == y
-
-    return all(eq(getattr(a, f), getattr(b, f)) for f in vars(a))
+    r = _Reader(payload)
+    msg = cls(*(read(r) for _, read in codecs))
+    if r.pos != payload_len:
+        raise ProtocolError(
+            f"{payload_len - r.pos} bytes after the last field of {cls.__name__}")
+    return msg, total
 
 
 # --- transports -----------------------------------------------------------
@@ -288,7 +258,7 @@ class SocketChannel:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self._buf = b""
+        self._buf = bytearray()
 
     def send(self, msg: Message) -> None:
         self._sock.sendall(encode_frame(msg))
@@ -298,7 +268,7 @@ class SocketChannel:
         while True:
             msg, consumed = decode_frame(self._buf)
             if msg is not None:
-                self._buf = self._buf[consumed:]
+                del self._buf[:consumed]
                 return msg
             chunk = self._sock.recv(1 << 16)
             if not chunk:

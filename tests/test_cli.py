@@ -1,11 +1,17 @@
 """End-to-end CLI pipeline on a miniature experiment."""
 
 import json
+import shutil
 
+import numpy as np
 import pytest
 import yaml
 
 from fedsurg import cli
+from fedsurg import experiment as exp
+from fedsurg.cohort import cohort_from_csv
+from fedsurg.model import load_checkpoint, predict
+from fedsurg.preprocess import Preprocessor, chronological_split
 from fedsurg.wire import Hello, Shutdown
 
 
@@ -75,6 +81,31 @@ def test_evaluate_artifacts(pipeline):
     assert len(report) == len(models) * len(sites) * 4
     assert (out / "scores" / "fedavg__x.csv").exists()
     assert (out / "reports" / "report.csv").exists()
+
+
+def test_central_is_scored_through_its_saved_preprocessor(pipeline):
+    cfg_path, out = pipeline
+    arch = exp.load_config(cfg_path).arch
+    pp = Preprocessor.from_json(
+        (out / "checkpoints" / "central_preprocessor.json").read_text())
+    params, _ = load_checkpoint(out / "checkpoints" / "central.ckpt", arch)
+    for site in ("a", "b", "x"):
+        _, _, test = chronological_split(
+            cohort_from_csv(out / "cohorts" / f"{site}.csv"))
+        fm = pp.transform(test)
+        ids, scores, _ = exp.read_scores_csv(
+            out / "scores" / f"central__{site}.csv")
+        assert ids == list(fm.encounter_ids)
+        assert np.array_equal(scores, predict(params, arch, fm))
+
+
+def test_evaluate_needs_the_central_preprocessor(pipeline, tmp_path):
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained, out)
+    (out / "checkpoints" / "central_preprocessor.json").unlink()
+    with pytest.raises(SystemExit, match="central_preprocessor.json"):
+        cli.main(["evaluate", "--config", str(cfg_path)])
 
 
 def test_compare_artifacts(pipeline):

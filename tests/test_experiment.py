@@ -64,6 +64,32 @@ def test_config_rejects_bad_shapes():
         E.config_from_dict(doc)
 
 
+@pytest.mark.parametrize("path", [
+    ("sead",), ("features", "n_cont"), ("arch", "embed_dims"),
+    ("train", "lrr"), ("evaluate", "n_bot"), ("fine_tune", "epoch"),
+    ("transport", "hots"), ("sites", 0, "colour"),
+], ids=lambda path: ".".join(map(str, path)))
+def test_config_rejects_unknown_keys(path):
+    doc = _doc(evaluate={}, fine_tune={}, transport={})
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = 1
+    with pytest.raises(E.ConfigError, match=path[-1]):
+        E.config_from_dict(doc)
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    doc = _doc()
+    for key in ("output_dir", "features", "arch", "train"):
+        del doc[key]
+    cfg = E.config_from_dict(doc)
+    assert cfg.output_dir == "out"
+    assert cfg.features == E.FeatureSpec()
+    assert cfg.train == E.TrainConfig(seed=cfg.seed)
+    assert (cfg.embed_dim, cfg.n_boot, cfg.port) == (16, 1000, 9631)
+
+
 def test_load_config_yaml(tmp_path):
     import yaml
     path = tmp_path / "c.yaml"

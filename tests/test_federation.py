@@ -11,7 +11,7 @@ from fedsurg import federation as F
 from fedsurg import model as M
 from fedsurg.preprocess import Preprocessor, chronological_split
 from fedsurg.wire import (ClientUpdate, GlobalModel, GlobalScaler, Hello,
-                          RoundAck, ScalerStats, quantize32)
+                          ProtocolError, RoundAck, ScalerStats, quantize32)
 from fedsurg.experiment import shared_scaler
 from conftest import SMALL_ARCH, random_batch
 
@@ -373,3 +373,28 @@ def test_coordinate_names_a_site_out_of_protocol():
     assert not isinstance(info.value, F.ClientFailure)
     assert "ScalerStats" in str(info.value)
     assert "ClientUpdate" in str(info.value)
+
+
+class _GarbledAfterHello:
+    """A site whose every frame after Hello fails to decode."""
+
+    def __init__(self, name):
+        self.replies = [Hello(name, M.arch_fingerprint(SMALL_ARCH))]
+
+    def send(self, msg):
+        pass
+
+    def recv(self):
+        if self.replies:
+            return self.replies.pop(0)
+        raise ProtocolError("payload truncated")
+
+
+def test_coordinate_names_a_site_that_sends_a_bad_frame():
+    cfg = _cfg(rounds=2)
+    worker = _workers("fedavg", cfg, names=("a",))["a"]
+    channels = [F.LoopbackChannel(worker), _GarbledAfterHello("b")]
+    with pytest.raises(F.ClientFailure, match="'b'") as info:
+        F.coordinate(SMALL_ARCH, "fedavg", cfg, channels, ["a", "b"])
+    assert info.value.client_id == "b"
+    assert isinstance(info.value.cause, ProtocolError)

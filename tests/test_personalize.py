@@ -2,6 +2,7 @@
 freeze and the delta artifact."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -126,3 +127,30 @@ def test_truncated_delta_raises_format_error(tmp_path):
         with pytest.raises(M.CheckpointFormatError, match="truncated") as info:
             P.load_delta(cut, params, SMALL_ARCH)
         assert re.search(re.escape(str(cut)), str(info.value))
+
+
+def _without(name):
+    return lambda tensors: tensors.pop(name)
+
+
+def _narrow_head(tensors):
+    tensors["phead0.W"] = np.zeros((3, 1))
+
+
+@pytest.mark.parametrize("damage", [
+    _without("surgeon.table"), _without("phead3.b"), _narrow_head,
+], ids=["no-table", "missing-head", "head-shape"])
+def test_delta_whose_tensors_do_not_fit_the_model(tmp_path, damage):
+    params, _ = _setup()
+    pm = P.warm_start(params, SMALL_ARCH, VOCAB)
+    tensors = {"surgeon.table": pm.surgeon_table, **pm.heads}
+    damage(tensors)
+    path = tmp_path / "site.delta"
+    with open(path, "wb") as fh:
+        fh.write(P._DELTA_MAGIC)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name, arr in tensors.items():
+            M._write_tensor(fh, name, arr)
+    with pytest.raises(M.CheckpointFormatError) as info:
+        P.load_delta(path, params, SMALL_ARCH)
+    assert str(path) in str(info.value)

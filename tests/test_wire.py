@@ -1,5 +1,5 @@
 """Frame protocol: round trips, the frozen golden frame, malformed
-input handling and both transports."""
+input handling (named cases and a fuzz) and both transports."""
 
 import socket
 import struct
@@ -17,6 +17,22 @@ def _params(seed=0):
     rng = np.random.default_rng(seed)
     return {"a.W": rng.normal(0, 1, (3, 2)), "a.b": rng.normal(0, 1, 2),
             "t": rng.normal(0, 1, (4, 3))}
+
+
+def messages_equal(a, b) -> bool:
+    """Structural equality, arrays compared exactly."""
+    if type(a) is not type(b):
+        return False
+
+    def eq(x, y):
+        if isinstance(x, np.ndarray):
+            return isinstance(y, np.ndarray) and x.shape == y.shape and bool((x == y).all())
+        if isinstance(x, dict):
+            return isinstance(y, dict) and x.keys() == y.keys() and \
+                all(eq(x[k], y[k]) for k in x)
+        return x == y
+
+    return all(eq(getattr(a, f), getattr(b, f)) for f in vars(a))
 
 
 ALL_MESSAGES = [
@@ -51,10 +67,10 @@ def test_roundtrip_quantizes_to_float32(msg):
                 float(np.float32(x)) for x in v))
         elif isinstance(v, float):
             object.__setattr__(want, f, float(np.float32(v)))
-    assert W.messages_equal(back, want)
+    assert messages_equal(back, want)
     # a second trip is bitwise stable
     again, _ = W.decode_frame(W.encode_frame(back))
-    assert W.messages_equal(again, back)
+    assert messages_equal(again, back)
 
 
 def test_golden_round_ack_frame():
@@ -99,6 +115,86 @@ def test_bad_magic_version_and_type():
     bad_type = frame[:5] + bytes([42]) + frame[6:]
     with pytest.raises(W.ProtocolError, match="type"):
         W.decode_frame(bad_type)
+
+
+def _frame(msg_type: int, payload: bytes) -> bytes:
+    """A frame with a valid header and CRC around any payload."""
+    return (W.MAGIC + bytes([W.VERSION, msg_type])
+            + struct.pack("<I", len(payload)) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+def test_non_utf8_string_is_a_protocol_error():
+    payload = struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<H", 0)
+    with pytest.raises(W.ProtocolError, match="UTF-8"):
+        W.decode_frame(_frame(1, payload))
+
+
+@pytest.mark.parametrize("size,dims", [(6, (2, 2)), (1, (1,) * 65)],
+                         ids=["product", "ndim"])
+def test_tensor_dims_must_hold_its_declared_size(size, dims):
+    # ScalerStats whose first tensor has dims that numpy cannot give it
+    bad = (struct.pack(f"<BI{len(dims)}I", len(dims), size, *dims)
+           + bytes(4 * size))
+    good = struct.pack("<BII", 1, 1, 1) + bytes(4)
+    with pytest.raises(W.ProtocolError, match="dims"):
+        W.decode_frame(_frame(2, bad + good))
+
+
+def test_bytes_after_the_last_field_are_a_protocol_error():
+    with pytest.raises(W.ProtocolError, match="after the last field"):
+        W.decode_frame(_frame(6, struct.pack("<q", 7) + b"junk"))
+
+
+def test_optional_field_flag_is_zero_or_one():
+    payload = W.encode_frame(W.GlobalModel(1, {}))[W.HEADER_LEN:-4]
+    assert payload[-1] == 0
+    with pytest.raises(W.ProtocolError, match="flag"):
+        W.decode_frame(_frame(4, payload[:-1] + b"\x02"))
+
+
+def _decodes_or_raises_protocol_error(buf: bytes) -> None:
+    try:
+        msg, used = W.decode_frame(buf)
+    except W.ProtocolError:
+        return
+    if msg is None:
+        assert used == 0
+    else:
+        assert type(msg) in W.Message.__args__ and 0 < used <= len(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(buf=st.binary(max_size=64), msg_type=st.integers(0, 255),
+       framed=st.booleans())
+def test_decode_frame_fuzz_random_bytes(buf, msg_type, framed):
+    _decodes_or_raises_protocol_error(_frame(msg_type, buf) if framed else buf)
+
+
+@st.composite
+def _mutated_payloads(draw):
+    """A valid message's payload after a few random edits."""
+    frame = W.encode_frame(draw(st.sampled_from(ALL_MESSAGES)))
+    payload = bytearray(frame[W.HEADER_LEN:-4])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(payload)))
+        edit = draw(st.sampled_from(("flip", "insert", "delete", "cut")))
+        if edit == "flip" and at < len(payload):
+            payload[at] ^= draw(st.integers(1, 255))
+        elif edit == "insert":
+            payload[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif edit == "delete":
+            del payload[at:at + draw(st.integers(1, 8))]
+        elif edit == "cut":
+            del payload[at:]
+    return frame[5], bytes(payload)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_mutated_payloads())
+def test_decode_frame_fuzz_mutated_payloads(case):
+    msg_type, payload = case
+    _decodes_or_raises_protocol_error(_frame(msg_type, payload))
 
 
 @settings(max_examples=50, deadline=None)
@@ -159,6 +255,34 @@ def test_socket_channel_reassembles_chunks():
     with pytest.raises(W.ChannelClosed):
         chan.recv()
     chan.close()
+
+
+class _ScriptedSocket:
+    """A socket whose recv returns the given chunks, then end of stream."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, n):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def test_socket_channel_buffers_exact_chunk_boundaries():
+    f1 = W.encode_frame(W.RoundAck(1))
+    f2 = W.encode_frame(W.Hello("s", "fp"))
+    f3 = W.encode_frame(W.GlobalModel(3, _params(7)))
+    # two frames in one chunk, then one frame split across three chunks
+    chan = W.SocketChannel(_ScriptedSocket(
+        [f1 + f2, f3[:5], f3[5:40], f3[40:]]))
+    assert chan.recv() == W.RoundAck(1)
+    assert chan.recv() == W.Hello("s", "fp")
+    assert messages_equal(chan.recv(),
+                          W.GlobalModel(3, W.quantize32(_params(7))))
+    with pytest.raises(W.ChannelClosed):
+        chan.recv()
 
 
 def test_oversized_frame_rejected(monkeypatch):
