@@ -2,9 +2,11 @@
 
 Everything is float64 and numpy-backed. A Tape records primitive ops in
 execution order; one backward pass over the tape yields a gradient for
-every leaf marked trainable. The op set is exactly what the risk network
-needs: linear layers, embedding lookups, relu/sigmoid, concatenation and
-binary cross-entropy.
+every leaf marked trainable. Only nodes that lead to a trainable leaf
+need a gradient, so a tape without trainable leaves (``predict``) never
+runs a backward. The op set is exactly what the risk network needs:
+linear layers, one gather over all embedding tables, relu/sigmoid,
+concatenation and binary cross-entropy.
 """
 
 from __future__ import annotations
@@ -33,18 +35,23 @@ class Node:
     """One recorded value on a tape.
 
     ``backward`` maps the upstream gradient to a tuple of gradients, one
-    per parent, in parent order. ``None`` for leaves.
+    per parent, in parent order; an entry may be ``None`` for a parent
+    that needs no gradient. ``None`` for leaves and for nodes that need no
+    gradient themselves: ``requires_grad`` holds when the node is a
+    trainable leaf or depends on one.
     """
 
-    __slots__ = ("value", "parents", "backward", "name", "trainable", "index")
+    __slots__ = ("value", "parents", "backward", "name", "trainable", "index",
+                 "requires_grad")
 
     def __init__(self, value, parents, backward, name, trainable, index):
         self.value = value
         self.parents = parents
-        self.backward = backward
         self.name = name
         self.trainable = trainable
         self.index = index
+        self.requires_grad = trainable or any(p.requires_grad for p in parents)
+        self.backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -60,11 +67,16 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.trainable_leaves: list[Node] = []
 
     def leaf(self, value, name: str | None = None, trainable: bool = False) -> Node:
+        if trainable and name is None:
+            raise GraphError("trainable leaf without a name")
         arr = np.asarray(value, dtype=np.float64)
         node = Node(arr, (), None, name, trainable, len(self.nodes))
         self.nodes.append(node)
+        if trainable:
+            self.trainable_leaves.append(node)
         return node
 
     def _record(self, value: np.ndarray, parents: tuple[Node, ...],
@@ -87,22 +99,21 @@ class Tape:
 
         adjoint: dict[int, np.ndarray] = {root.index: np.ones_like(root.value)}
         for node in reversed(self.nodes[: root.index + 1]):
-            grad = adjoint.get(node.index)
-            if grad is None or node.backward is None:
+            if node.backward is None:
                 continue
-            del adjoint[node.index]
+            grad = adjoint.pop(node.index, None)
+            if grad is None:
+                continue
             for parent, pgrad in zip(node.parents, node.backward(grad)):
-                if pgrad is None:
+                if pgrad is None or not parent.requires_grad:
                     continue
                 acc = adjoint.get(parent.index)
                 adjoint[parent.index] = pgrad if acc is None else acc + pgrad
 
         out: dict[str, np.ndarray] = {}
-        for node in self.nodes:
-            if node.trainable:
-                if node.name is None:
-                    raise GraphError("trainable leaf without a name")
-                out[node.name] = adjoint.get(node.index, np.zeros_like(node.value))
+        for node in self.trainable_leaves:
+            grad = adjoint.get(node.index)
+            out[node.name] = np.zeros_like(node.value) if grad is None else grad
         return out
 
 
@@ -118,17 +129,18 @@ def linear(tape: Tape, x: Node, w: Node, b: Node) -> Node:
     out = x.value @ w.value + b.value
 
     def backward(g):
-        return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
+        return (g @ w.value.T if x.requires_grad else None,
+                x.value.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
 
     return tape._record(out, (x, w, b), backward)
 
 
 def relu(tape: Tape, x: Node) -> Node:
     out = np.maximum(x.value, 0.0)
-    mask = x.value > 0.0
 
     def backward(g):
-        return (g * mask,)
+        return (g * (x.value > 0.0),)
 
     return tape._record(out, (x,), backward)
 
@@ -142,36 +154,65 @@ def sigmoid(tape: Tape, x: Node) -> Node:
     return tape._record(out, (x,), backward)
 
 
-def embedding(tape: Tape, table: Node, indices) -> Node:
-    """Row gather; backward scatter-adds into the table."""
-    idx = np.asarray(indices)
-    if idx.ndim != 1:
-        raise ShapeError("embedding indices must be a flat list")
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError("embedding indices must be integers")
-    vocab = table.value.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
-        bad = int(idx[(idx < 0) | (idx >= vocab)][0])
+def embeddings(tape: Tape, tables: Sequence[Node], indices: Sequence) -> Node:
+    """Row gather from each table, the rows concatenated along axis 1.
+
+    Backward is one ``np.bincount`` over all tables flattened end to end:
+    the gradient entry of row b in column d of table t adds into flat bin
+    ``offset_t + idx_t[b] * D_t + d``. bincount adds in input order,
+    starting from 0.0, so each bin sums its rows in increasing b, exactly
+    as ``np.add.at`` scatters them.
+    """
+    if not tables or len(tables) != len(indices):
+        raise ShapeError(
+            f"{len(tables)} embedding tables for {len(indices)} index columns")
+    cols = [np.asarray(i) for i in indices]
+    for idx in cols:
+        if idx.ndim != 1:
+            raise ShapeError("embedding indices must be a flat list")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise ShapeError("embedding indices must be integers")
+    if len({idx.size for idx in cols}) != 1:
+        raise ShapeError("embedding index columns differ in length")
+    rows = np.stack(cols).astype(np.intp, copy=False)  # tables x batch
+    vocab = np.array([t.value.shape[0] for t in tables])[:, None]
+    outside = (rows < 0) | (rows >= vocab)
+    if outside.any():
+        t, b = np.argwhere(outside)[0]
         raise IndexError(
-            f"embedding index {bad} outside vocabulary [0, {vocab}) "
+            f"embedding index {rows[t, b]} outside vocabulary [0, {vocab[t, 0]}) "
             "(vocabulary mismatch between sites?)")
-    out = table.value[idx]
+    dims = [t.value.shape[1] for t in tables]
+    # filled in place: faster than np.concatenate over the gathered blocks
+    out = np.empty((rows.shape[1], sum(dims)))
+    col = 0
+    for t, r, d in zip(tables, rows, dims):
+        out[:, col:col + d] = t.value[r]
+        col += d
 
     def backward(g):
-        acc = np.zeros_like(table.value)
-        np.add.at(acc, idx, g)
-        return (acc,)
+        sizes = [t.value.size for t in tables]
+        starts = np.cumsum([0] + sizes[:-1])
+        # one row of bins per output column, so the weights are g transposed;
+        # within a bin the batch rows still come in increasing b
+        row_bins = rows * np.array(dims)[:, None] + starts[:, None]
+        within = np.concatenate([np.arange(d) for d in dims])
+        bins = np.repeat(row_bins, dims, axis=0) + within[:, None]
+        flat = np.bincount(bins.ravel(), weights=g.T.ravel(),
+                           minlength=sum(sizes))
+        return tuple(flat[s:s + n].reshape(t.value.shape)
+                     for s, n, t in zip(starts, sizes, tables))
 
-    return tape._record(out, (table,), backward)
+    return tape._record(out, tuple(tables), backward)
 
 
 def concat(tape: Tape, parts: Sequence[Node], axis: int = 1) -> Node:
     if not parts:
         raise ShapeError("concat of nothing")
     out = np.concatenate([p.value for p in parts], axis=axis)
-    splits = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
 
     def backward(g):
+        splits = np.cumsum([p.value.shape[axis] for p in parts])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     return tape._record(out, tuple(parts), backward)
@@ -185,9 +226,9 @@ def bce_loss(tape: Tape, p: Node, y: np.ndarray) -> Node:
     clamped = np.clip(p.value, BCE_EPS, 1.0 - BCE_EPS)
     losses = -(y * np.log(clamped) + (1.0 - y) * np.log1p(-clamped))
     out = np.asarray(losses.mean())
-    inside = (p.value > BCE_EPS) & (p.value < 1.0 - BCE_EPS)
 
     def backward(g):
+        inside = (p.value > BCE_EPS) & (p.value < 1.0 - BCE_EPS)
         d = (clamped - y) / (clamped * (1.0 - clamped)) / y.size
         return (g * d * inside,)
 

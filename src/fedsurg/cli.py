@@ -146,7 +146,7 @@ def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
             val_probs = predict(params, cfg.arch, val_fm)
             exp.write_scores_csv(
                 out / "scores" / f"{model_name}__{site_name}.csv",
-                test_fm.encounter_ids, probs, test_fm.labels)
+                sd.test.encounter_id, probs, test_fm.labels)
             cells[model_name, site_name] = exp.evaluate_scores(
                 model_name, site_name, probs, test_fm.labels,
                 val_probs, val_fm.labels, cfg.n_boot, cfg.seed)

@@ -138,6 +138,8 @@ class SiteConfig:
     no_surgery_rate: float = 0.02
 
     def __post_init__(self):
+        if self.n_patients < 1:
+            raise ValueError("n_patients must be >= 1")
         if not all(0.0 < p < 1.0 for p in self.target_prevalence):
             raise ValueError("target prevalences must lie in (0, 1)")
         if not 0.0 <= self.missing_rate < 1.0:

@@ -71,6 +71,7 @@ class ExperimentConfig:
         names = [s.config.site_name for s in self.sites]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate site names")
+        _checked("model architecture", lambda: self.arch)
 
     @property
     def development_sites(self) -> list[str]:
@@ -129,6 +130,15 @@ def _field_names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
+def _checked(where: str, make, *args, **kw):
+    """``make(*args, **kw)``, with a value its checks reject reported as a
+    ConfigError naming the section."""
+    try:
+        return make(*args, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Defaults are those of the config dataclasses; every section, and the
     top level, rejects a key it does not know."""
@@ -136,7 +146,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                  "the experiment config")
     try:
         kw = {k: doc[k] for k in _TOP_LEVEL if k in doc}
-        kw["seed"] = int(doc["seed"])
+        kw["seed"] = _checked("seed", int, doc["seed"])
         for section, (prefix, keys) in _SECTIONS.items():
             sub = _known(doc.get(section, {}), keys, section)
             kw.update((prefix + k, v) for k, v in sub.items())
@@ -149,10 +159,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             entry = _known(entry, site_keys, f"sites[{i}]")
             role = entry.pop("role", "development")
             entry["site_name"] = entry.pop("name")
-            sites.append(SiteEntry(SiteConfig(**entry), role))
+            sites.append(SiteEntry(_checked(f"sites[{i}]", SiteConfig, **entry),
+                                   role))
         return ExperimentConfig(
             features=FeatureSpec(**features),
-            train=TrainConfig(**{"seed": kw["seed"], **train}),
+            train=_checked("train", TrainConfig, **{"seed": kw["seed"], **train}),
             sites=sites, **kw)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
@@ -223,7 +234,6 @@ def concat_batches(batches: list[Batch]) -> Batch:
         labels=np.concatenate([b.labels for b in batches]),
         surgeon=(np.concatenate([b.surgeon for b in batches])
                  if batches[0].surgeon is not None else None),
-        encounter_ids=[e for b in batches for e in b.encounter_ids],
     )
 
 
@@ -390,7 +400,7 @@ def write_history_csv(path, history: list[RoundRecord]) -> None:
                             + [repr(rec.train_loss[c]) for c in clients])
 
 
-def write_scores_csv(path, encounter_ids: list[str], probs: np.ndarray,
+def write_scores_csv(path, encounter_ids, probs: np.ndarray,
                      labels: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -213,8 +213,14 @@ def _handshake(channels: list, arch: ArchConfig, expected: list[str]
                ) -> dict[str, object]:
     fingerprint = arch_fingerprint(arch)
     by_id: dict[str, object] = {}
-    for chan in channels:
-        msg = chan.recv()
+    for pos, chan in enumerate(channels):
+        # no Hello has named the site on this channel yet, so name its position
+        try:
+            msg = chan.recv()
+        except (ChannelClosed, OSError, ProtocolError) as exc:
+            raise HandshakeError(
+                f"channel {pos} of {len(channels)} failed before its Hello: "
+                f"{type(exc).__name__}: {exc}") from exc
         if not isinstance(msg, Hello):
             raise HandshakeError(f"expected Hello, got {type(msg).__name__}")
         if msg.arch_fingerprint != fingerprint:

@@ -12,7 +12,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class Batch:
     high_card: tuple[np.ndarray, ...]  # per feature, int index column of length B
     labels: np.ndarray                # B x 4, values in {0, 1}
     surgeon: np.ndarray | None = None  # personalization feature, not a model input
-    encounter_ids: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         n = self.continuous.shape[0]
@@ -63,14 +62,14 @@ class Batch:
     def __len__(self):
         return self.continuous.shape[0]
 
-    def take(self, idx: np.ndarray) -> "Batch":
+    def take(self, idx: np.ndarray | slice) -> "Batch":
+        """The rows ``idx`` selects; a slice gives views, not copies."""
         return Batch(
             continuous=self.continuous[idx],
             binary=self.binary[idx],
             high_card=tuple(col[idx] for col in self.high_card),
             labels=self.labels[idx],
             surgeon=None if self.surgeon is None else self.surgeon[idx],
-            encounter_ids=[self.encounter_ids[i] for i in idx] if self.encounter_ids else [],
         )
 
 
@@ -155,9 +154,8 @@ def merge_activation_from_nodes(tape: ad.Tape, nodes: dict[str, ad.Node],
         ad.relu(tape, ad.linear(tape, x_bin, nodes["bin.W"], nodes["bin.b"])),
     ]
     if arch.high_card_specs:
-        embeds = [ad.embedding(tape, nodes[f"emb{i}.table"], batch.high_card[i])
-                  for i in range(len(arch.high_card_specs))]
-        stacked = embeds[0] if len(embeds) == 1 else ad.concat(tape, embeds)
+        tables = [nodes[f"emb{i}.table"] for i in range(len(arch.high_card_specs))]
+        stacked = ad.embeddings(tape, tables, batch.high_card)
         branches.append(ad.relu(tape, ad.linear(
             tape, stacked, nodes["embproj.W"], nodes["embproj.b"])))
     return ad.relu(tape, ad.linear(
@@ -182,11 +180,10 @@ def forward(params: ModelParams, arch: ArchConfig, batch: Batch,
 
 def predict(params: ModelParams, arch: ArchConfig, data: Batch,
             batch_size: int = 4096) -> np.ndarray:
-    """Risk probabilities, B x n_outcomes."""
-    chunks = []
-    for start in range(0, len(data), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(data)))
-        chunks.append(forward(params, arch, data.take(idx)).value)
+    """Risk probabilities, B x n_outcomes. Chunks are views of ``data``;
+    no leaf is trainable, so the tape runs no backward work."""
+    chunks = [forward(params, arch, data.take(slice(i, i + batch_size))).value
+              for i in range(0, len(data), batch_size)]
     return np.concatenate(chunks, axis=0)
 
 
@@ -238,8 +235,18 @@ def _unpack(fh, fmt: str) -> int:
     return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))[0]
 
 
+def _read_name(fh, what: str) -> str:
+    raw = _read_exact(fh, _unpack(fh, "<H"))
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(
+            f"{fh.name}: {what} at offset {fh.tell() - len(raw)} "
+            "is not UTF-8") from exc
+
+
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    name = _read_exact(fh, _unpack(fh, "<H")).decode()
+    name = _read_name(fh, "tensor name")
     shape = tuple(_unpack(fh, "<I") for _ in range(_unpack(fh, "<B")))
     arr = np.frombuffer(_read_exact(fh, 8 * math.prod(shape)), dtype="<f8")
     return name, arr.reshape(shape).copy()
@@ -268,7 +275,7 @@ def load_checkpoint(path, arch: ArchConfig | None = None) -> tuple[ModelParams, 
         if version != _CKPT_VERSION:
             raise CheckpointFormatError(
                 f"{path}: unsupported checkpoint version {version}")
-        fingerprint = _read_exact(fh, _unpack(fh, "<H")).decode()
+        fingerprint = _read_name(fh, "architecture fingerprint")
         if arch is not None and fingerprint != arch_fingerprint(arch):
             raise ValueError("checkpoint was written for a different architecture")
         count = _unpack(fh, "<I")

@@ -33,7 +33,7 @@ class PersonalizedModel:
 def _head_forward(tape: ad.Tape, pm_nodes: dict[str, ad.Node],
                   table: ad.Node, arch: ArchConfig, merged: ad.Node,
                   surgeon_idx: np.ndarray) -> ad.Node:
-    emb = ad.embedding(tape, table, surgeon_idx)
+    emb = ad.embeddings(tape, [table], [surgeon_idx])
     combined = ad.concat(tape, [merged, emb])
     heads = [ad.sigmoid(tape, ad.linear(
         tape, combined, pm_nodes[f"phead{k}.W"], pm_nodes[f"phead{k}.b"]))

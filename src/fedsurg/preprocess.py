@@ -214,7 +214,6 @@ class Preprocessor:
             labels=cohort.outcomes.astype(np.float64),
             surgeon=_lookup(cohort.surgeon_id, self.surgeon_seen,
                             self.surgeon_vocab_size + 1),
-            encounter_ids=cohort.encounter_id.tolist(),
         )
 
     # --- audit artifact ---------------------------------------------------

@@ -28,7 +28,6 @@ def random_batch(arch: ArchConfig, n: int, seed: int,
         high_card=tuple(rng.integers(0, v, n) for v, _ in arch.high_card_specs),
         labels=rng.integers(0, 2, (n, arch.n_outcomes)).astype(float),
         surgeon=rng.integers(0, surgeon_vocab + 1, n) if surgeon_vocab else None,
-        encounter_ids=[f"e{i}" for i in range(n)],
     )
 
 

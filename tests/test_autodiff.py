@@ -6,19 +6,21 @@ each trainable leaf and perturbs one coordinate at a time.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedsurg.autodiff as ad
 
 
 def _graph_loss(params: dict[str, np.ndarray], x: np.ndarray,
-                idx: np.ndarray, y: np.ndarray) -> tuple[ad.Tape, ad.Node]:
-    """A composite graph exercising every op: linear, relu, embedding,
-    concat, sigmoid and the clamped BCE loss."""
+                idx: tuple[np.ndarray, ...], y: np.ndarray
+                ) -> tuple[ad.Tape, ad.Node]:
+    """A composite graph exercising every op: linear, relu, embeddings
+    over two tables, concat, sigmoid and the clamped BCE loss."""
     tape = ad.Tape()
     nodes = {k: tape.leaf(v, name=k, trainable=True) for k, v in params.items()}
     xn = tape.leaf(x)
     h1 = ad.relu(tape, ad.linear(tape, xn, nodes["W1"], nodes["b1"]))
-    emb = ad.embedding(tape, nodes["T"], idx)
+    emb = ad.embeddings(tape, [nodes["T"], nodes["U"]], idx)
     h = ad.concat(tape, [h1, emb])
     p = ad.sigmoid(tape, ad.linear(tape, h, nodes["W2"], nodes["b2"]))
     return tape, ad.bce_loss(tape, p, y)
@@ -26,16 +28,20 @@ def _graph_loss(params: dict[str, np.ndarray], x: np.ndarray,
 
 def _make_case(seed: int):
     rng = np.random.default_rng(seed)
-    n, d, hid, vocab, edim, k = 6, 4, 5, 9, 3, 2
+    n, d, hid, k = 6, 4, 5, 2
+    (vocab_t, dim_t), (vocab_u, dim_u) = (9, 3), (4, 2)
     params = {
         "W1": rng.normal(0, 0.5, (d, hid)),
         "b1": rng.normal(0, 0.1, hid),
-        "T": rng.normal(0, 0.5, (vocab, edim)),
-        "W2": rng.normal(0, 0.5, (hid + edim, k)),
+        "T": rng.normal(0, 0.5, (vocab_t, dim_t)),
+        "U": rng.normal(0, 0.5, (vocab_u, dim_u)),
+        "W2": rng.normal(0, 0.5, (hid + dim_t + dim_u, k)),
         "b2": rng.normal(0, 0.1, k),
     }
     x = rng.normal(0, 1, (n, d))
-    idx = rng.integers(0, vocab, n)
+    # the first index of each column repeats, so rows get summed gradients
+    idx = tuple(np.r_[i[0], i[:-1]]
+                for i in (rng.integers(0, vocab_t, n), rng.integers(0, vocab_u, n)))
     y = rng.integers(0, 2, (n, k)).astype(float)
     return params, x, idx, y
 
@@ -114,8 +120,78 @@ def test_linear_shape_validation():
 def test_embedding_rejects_out_of_vocab_index():
     tape = ad.Tape()
     table = tape.leaf(np.ones((4, 2)), name="t", trainable=True)
-    with pytest.raises(IndexError, match="vocabulary"):
-        ad.embedding(tape, table, np.array([0, 4]))
+    other = tape.leaf(np.ones((9, 3)), name="u", trainable=True)
+    with pytest.raises(IndexError, match="embedding index 4 outside vocabulary"):
+        ad.embeddings(tape, [other, table], [np.array([8, 8]), np.array([0, 4])])
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 1), dtype=int),
+                                 np.array([0.0, 1.0]),
+                                 np.array([0, 1, 2])],
+                         ids=["not-flat", "not-integer", "length"])
+def test_embeddings_shape_checks(bad):
+    tape = ad.Tape()
+    tables = [tape.leaf(np.ones((4, 2)), name=n, trainable=True) for n in "tu"]
+    with pytest.raises(ad.ShapeError):
+        ad.embeddings(tape, tables, [np.array([0, 1]), bad])
+    with pytest.raises(ad.ShapeError):
+        ad.embeddings(tape, tables, [np.array([0, 1])])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                min_size=1, max_size=4),
+       st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_embeddings_gradient_is_add_at_bit_for_bit(specs, n, seed):
+    """[DERIVED] the gradient of each table is np.add.at of its slice of
+    the upstream gradient, rows never drawn included."""
+    rng = np.random.default_rng(seed)
+    tables = [rng.normal(size=spec) for spec in specs]
+    idx = [rng.integers(0, vocab, n) for vocab, _ in specs]
+    upstream = rng.normal(size=(n, sum(d for _, d in specs)))
+    tape = ad.Tape()
+    leaves = [tape.leaf(t, name=f"t{i}", trainable=True)
+              for i, t in enumerate(tables)]
+    out = ad.embeddings(tape, leaves, idx)
+    assert out.value.tobytes() == np.concatenate(
+        [t[i] for t, i in zip(tables, idx)], axis=1).tobytes()
+    got = out.backward(upstream)
+    cols = np.cumsum([0] + [d for _, d in specs])
+    for t, i, g, a, b in zip(tables, idx, got, cols[:-1], cols[1:]):
+        want = np.zeros_like(t)
+        np.add.at(want, i, upstream[:, a:b])
+        assert g.shape == t.shape and g.tobytes() == want.tobytes()
+
+
+def test_input_leaves_get_no_gradient():
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((3, 2)))
+    w = tape.leaf(np.full((2, 4), 0.5), name="w", trainable=True)
+    b = tape.leaf(np.zeros(4), name="b", trainable=True)
+    unreached = tape.leaf(np.ones((2, 2)), name="unreached", trainable=True)
+    h = ad.linear(tape, x, w, b)
+    assert not x.requires_grad and h.requires_grad
+    dx, dw, db = h.backward(np.ones((3, 4)))
+    assert dx is None and dw is not None and db is not None
+    loss = ad.bce_loss(tape, ad.sigmoid(tape, h), np.ones((3, 4)))
+    grads = tape.gradients(loss)
+    assert set(grads) == {"w", "b", "unreached"}
+    assert grads["unreached"].shape == (2, 2)
+    assert np.all(grads["unreached"] == 0.0)
+
+
+def test_tape_without_trainable_leaves_records_no_backward():
+    tape = ad.Tape()
+    x = tape.leaf(np.ones((3, 2)))
+    w = tape.leaf(np.ones((2, 1)), name="w")
+    b = tape.leaf(np.zeros(1), name="b")
+    t = tape.leaf(np.ones((5, 2)), name="t")
+    h = ad.concat(tape, [ad.linear(tape, x, w, b),
+                         ad.embeddings(tape, [t], [np.array([0, 4, 4])])])
+    loss = ad.bce_loss(tape, ad.sigmoid(tape, ad.relu(tape, h)), np.ones((3, 3)))
+    assert not any(node.requires_grad for node in tape.nodes)
+    assert all(node.backward is None for node in tape.nodes)
+    assert tape.gradients(loss) == {}
 
 
 def test_bce_loss_is_clamped_at_extreme_probabilities():

@@ -93,9 +93,10 @@ def test_central_is_scored_through_its_saved_preprocessor(pipeline):
         _, _, test = chronological_split(
             cohort_from_csv(out / "cohorts" / f"{site}.csv"))
         fm = pp.transform(test)
-        ids, scores, _ = exp.read_scores_csv(
+        ids, scores, labels = exp.read_scores_csv(
             out / "scores" / f"central__{site}.csv")
-        assert ids == list(fm.encounter_ids)
+        assert ids == test.encounter_id.tolist()
+        assert np.array_equal(labels, fm.labels)
         assert np.array_equal(scores, predict(params, arch, fm))
 
 
@@ -160,6 +161,29 @@ def test_bad_config_exits_nonzero(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"seed": 1, "sites": []}))
     assert cli.main(["generate", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("path,value,where", [
+    (("sites", 0, "target_prevalence"), [0.1, 0.1, 0.1, 1.5], "sites[0]"),
+    (("sites", 0, "n_patients"), -5, "sites[0]"),
+    (("train", "lr"), -1, "train"),
+    (("arch", "embed_dim"), 0, "model architecture"),
+    (("seed",), "abc", "seed"),
+], ids=["prevalence", "n_patients", "lr", "embed_dim", "seed"])
+def test_out_of_range_config_value_exits_2(tmp_path, capsys, path, value,
+                                           where):
+    cfg_path, out = _config(tmp_path)
+    doc = yaml.safe_load(cfg_path.read_text())
+    *parents, key = path
+    part = doc
+    for step in parents:
+        part = part[step]
+    part[key] = value
+    cfg_path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ")
+    assert not out.exists()
 
 
 def test_train_without_cohorts_errors(tmp_path):

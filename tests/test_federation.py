@@ -10,8 +10,9 @@ from fedsurg import cohort as C
 from fedsurg import federation as F
 from fedsurg import model as M
 from fedsurg.preprocess import Preprocessor, chronological_split
-from fedsurg.wire import (ClientUpdate, GlobalModel, GlobalScaler, Hello,
-                          ProtocolError, RoundAck, ScalerStats, quantize32)
+from fedsurg.wire import (ChannelClosed, ClientUpdate, GlobalModel,
+                          GlobalScaler, Hello, ProtocolError, RoundAck,
+                          ScalerStats, quantize32)
 from fedsurg.experiment import shared_scaler
 from conftest import SMALL_ARCH, random_batch
 
@@ -398,3 +399,30 @@ def test_coordinate_names_a_site_that_sends_a_bad_frame():
         F.coordinate(SMALL_ARCH, "fedavg", cfg, channels, ["a", "b"])
     assert info.value.client_id == "b"
     assert isinstance(info.value.cause, ProtocolError)
+
+
+class _FailsAtOnce:
+    """A channel whose first frame cannot be read."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def send(self, msg):
+        pass
+
+    def recv(self):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc", [ProtocolError("bad magic"),
+                                 ChannelClosed("peer closed"),
+                                 ConnectionResetError("reset")],
+                         ids=["protocol", "closed", "os"])
+def test_bad_frame_during_handshake_is_a_handshake_error(exc):
+    cfg = _cfg(rounds=2)
+    worker = _workers("fedavg", cfg, names=("a",))["a"]
+    channels = [F.LoopbackChannel(worker), _FailsAtOnce(exc)]
+    with pytest.raises(F.HandshakeError, match="channel 1 of 2") as info:
+        F.coordinate(SMALL_ARCH, "fedavg", cfg, channels, ["a", "b"])
+    assert info.value.__cause__ is exc
+    assert type(exc).__name__ in str(info.value)

@@ -1,6 +1,7 @@
 """Network construction, a pure-numpy forward oracle, parameter
 serialization and the local training step."""
 
+import hashlib
 import re
 import struct
 
@@ -127,6 +128,20 @@ def test_truncated_checkpoint_raises_format_error(tmp_path, small_arch):
         M.load_checkpoint(cut)
 
 
+@pytest.mark.parametrize("name", [None, b"cont.W"], ids=["fingerprint", "tensor"])
+def test_checkpoint_name_that_is_not_utf8_is_a_format_error(tmp_path, small_arch,
+                                                            name):
+    path = tmp_path / "m.ckpt"
+    M.save_checkpoint(path, M.init_params(small_arch, 9), small_arch)
+    raw = bytearray(path.read_bytes())
+    at = 4 + 4 + 2 if name is None else raw.index(name)
+    raw[at] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(M.CheckpointFormatError, match="not UTF-8") as info:
+        M.load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def test_multitask_loss_equals_elementwise_bce(small_arch):
     params = M.init_params(small_arch, 4)
     batch = random_batch(small_arch, 11, 5)
@@ -189,6 +204,22 @@ def test_local_train_grad_offset_oracle(small_arch):
     for k in params:
         assert np.allclose(shifted.params[k],
                            plain.params[k] - cfg.lr * offset[k], atol=1e-12)
+
+
+def test_local_train_and_predict_golden(small_arch):
+    """Pins the exact bytes of a short training run and of predict, so a
+    faster step cannot change a checkpoint unnoticed."""
+    rep = M.local_train(M.init_params(small_arch, 5), small_arch,
+                        random_batch(small_arch, 50, 6),
+                        _cfg(local_epochs=2, batch_size=8),
+                        np.random.default_rng(7))
+    assert rep.steps_taken == 14
+    assert M.params_digest(rep.params) == (
+        "82ca2037efa47c21a5b895ffa1311fd37d7a5f06ded3fd2ff7aab1309e6511a9")
+    probs = M.predict(rep.params, small_arch, random_batch(small_arch, 23, 8),
+                      batch_size=10)
+    assert hashlib.sha256(probs.tobytes()).hexdigest() == (
+        "fc39cddc8075dfe7d7f67301045ff9d1ec296125469ac346506a638f517a25c3")
 
 
 def test_local_train_rejects_empty_data(small_arch):

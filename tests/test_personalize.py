@@ -129,6 +129,18 @@ def test_truncated_delta_raises_format_error(tmp_path):
         assert re.search(re.escape(str(cut)), str(info.value))
 
 
+def test_delta_name_that_is_not_utf8_is_a_format_error(tmp_path):
+    params, _ = _setup()
+    path = tmp_path / "site.delta"
+    P.save_delta(path, P.warm_start(params, SMALL_ARCH, VOCAB))
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"phead0.W")] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(M.CheckpointFormatError, match="not UTF-8") as info:
+        P.load_delta(path, params, SMALL_ARCH)
+    assert str(path) in str(info.value)
+
+
 def _without(name):
     return lambda tensors: tensors.pop(name)
 

@@ -88,7 +88,7 @@ def test_transform_output_ranges(cohort):
     for j, idx in enumerate(fm.high_card):
         assert idx.min() >= 0 and idx.max() < SPEC.hc_vocab_sizes[j]
     assert fm.surgeon.max() <= 50
-    assert fm.encounter_ids == cohort.encounter_id.tolist()
+    assert np.array_equal(fm.labels, cohort.outcomes.astype(np.float64))
 
 
 def test_transform_imputes_median():
@@ -291,7 +291,6 @@ def _assert_matches_oracles(train, others, hc_vocab_sizes, surgeon_vocab_size,
         assert np.array_equal(fm.surgeon, surgeon)
         assert np.array_equal(fm.binary, part.binary.astype(np.float64))
         assert np.array_equal(fm.labels, part.outcomes.astype(np.float64))
-        assert fm.encounter_ids == [r.encounter_id for r in part.records]
 
 
 def test_split_matches_record_oracle():
