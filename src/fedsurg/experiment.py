@@ -72,6 +72,8 @@ class ExperimentConfig:
         if len(names) != len(set(names)):
             raise ConfigError("duplicate site names")
         _checked("model architecture", lambda: self.arch)
+        if self.n_boot < 0:
+            raise ConfigError(f"evaluate: n_boot must be >= 0, got {self.n_boot}")
 
     @property
     def development_sites(self) -> list[str]:
@@ -402,14 +404,16 @@ def write_history_csv(path, history: list[RoundRecord]) -> None:
 
 def write_scores_csv(path, encounter_ids, probs: np.ndarray,
                      labels: np.ndarray) -> None:
+    """One row per encounter: its id, the scores as ``repr`` of Python
+    floats (which the csv writer prints for a float) and integer labels."""
+    columns = (np.asarray(probs, dtype=np.float64).T.tolist()
+               + np.asarray(labels).astype(np.int64).T.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["encounter_id"]
                         + [f"score_{o}" for o in OUTCOME_NAMES]
                         + [f"label_{o}" for o in OUTCOME_NAMES])
-        for i, enc in enumerate(encounter_ids):
-            writer.writerow([enc] + [repr(float(v)) for v in probs[i]]
-                            + [int(v) for v in labels[i]])
+        writer.writerows(zip(encounter_ids, *columns))
 
 
 def read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -12,10 +12,19 @@ operations, in the same order, as a block-by-block loop: midranks are
 ``(first + last) / 2.0 + 1.0``, average precision is a left-to-right
 ``cumsum`` (never the pairwise ``np.sum``) and Youden's J uses exact
 integer counts. Results are bit-identical to those loops.
+
+The bootstrap of AUROC and AUPRC sorts the sample once and scores each
+resample from how often it drew each element (the count form of the
+nonparametric bootstrap, Efron & Tibshirani 1993), reduced over the
+sample's tie blocks: exact integer rank sums for AUROC, and for average
+precision the same per-block terms, in the same order, as scoring the
+resample itself. Its intervals are bit-identical to resampling and
+re-sorting.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,6 +138,78 @@ class BootstrapResult:
     n_skipped: int = 0
 
 
+def _auroc_by_counts(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``auroc`` of each resample (row) from its negatives and positives
+    drawn in each tie block (column, by ascending score)."""
+    drawn = neg + pos
+    before = np.cumsum(drawn, axis=1) - drawn
+    n_pos = pos.sum(axis=1)
+    n_neg = neg.sum(axis=1)
+    # a block's midrank is before + (drawn + 1) / 2: twice the positives'
+    # rank sum is an exact integer, as the float rank sum of ``auroc`` is
+    rank_sum2 = (pos * (2 * before + drawn + 1)).sum(axis=1)
+    u = rank_sum2 / 2.0 - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
+
+
+def _auprc_by_counts(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``auprc`` of each resample from the same per-block counts."""
+    pos, drawn = pos[:, ::-1], (neg + pos)[:, ::-1]   # by descending score
+    cum_pos = np.cumsum(pos, axis=1)
+    # cum_drawn is 0 above the first block with a drawn row; read as 1 it
+    # makes those blocks' terms 0 / n_pos * (0 / 1) = 0.0, not NaN
+    cum_drawn = np.maximum(np.cumsum(drawn, axis=1), 1)
+    n_pos = cum_pos[:, -1:]
+    # blocks with no drawn positive add exactly 0.0 to the running sum
+    return np.cumsum((pos / n_pos) * (cum_pos / cum_drawn), axis=1)[:, -1]
+
+
+# metric -> (its score of resamples from per-block counts, whether a
+# resample needs a negative as well as a positive)
+_COUNTED = {auroc: (_auroc_by_counts, True), auprc: (_auprc_by_counts, False)}
+
+# accepted resamples scored together by a counted metric draw at most this
+# many elements in all, so memory stays flat whatever n and n_boot are
+_DRAWS_PER_BATCH = 1 << 14
+
+
+def _scored_per_resample(metric, s, y):
+    """(usable, score) that call ``metric`` on every resample."""
+    def usable(idx):
+        try:
+            return float(metric(s[idx], y[idx]))
+        except DegenerateLabelsError:
+            return None
+    return usable, list
+
+
+def _scored_by_counts(by_counts, needs_negative: bool, s, y):
+    """(usable, score) of a counted metric. ``usable`` keeps a draw's
+    element keys (2 * tie block + label) when its class counts are ones the
+    metric accepts; ``score`` takes a batch of kept draws to their values."""
+    tied, block = np.unique(s, return_inverse=True)
+    n_blocks = len(tied)
+    keys = 2 * block + y.astype(bool)
+
+    def usable(idx):
+        drawn = keys[idx]
+        n_pos = np.count_nonzero(drawn & 1)
+        ok = n_pos > 0 and (n_pos < len(drawn) or not needs_negative)
+        return drawn if ok else None
+
+    def score(batch):
+        if not batch:
+            return []
+        rows = len(batch)
+        # one bincount over the batch: row r counts into bins from 2·n_blocks·r
+        drawn = np.stack(batch) + 2 * n_blocks * np.arange(rows)[:, None]
+        counts = np.bincount(drawn.ravel(), minlength=rows * 2 * n_blocks
+                             ).reshape(rows, n_blocks, 2)
+        return by_counts(counts[..., 0], counts[..., 1]).tolist()
+
+    return usable, score
+
+
 def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05,
                  seed: int = 0) -> BootstrapResult:
     """Percentile bootstrap over paired (score, label) resamples.
@@ -136,26 +217,38 @@ def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05
     Each resample draws its RNG from (seed, resample index) so results do
     not depend on execution order. Resamples on which the metric is
     degenerate are redrawn up to 10 times, then skipped (count reported).
+
+    ``auroc`` and ``auprc`` (or a ``functools.wraps`` wrapper of them) score
+    resamples from their draw counts over the sample's tie blocks, sorted
+    once; ``metric`` itself computes only the point estimate. Any other
+    metric, and any sample with a NaN score (its NaN copies rank in draw
+    order, which counts do not record), is called on every resample.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     point = float(metric(s, y))
     n = len(s)
-    values = []
+    counted = _COUNTED.get(inspect.unwrap(metric))
+    if counted is None or np.isnan(s).any():
+        usable, score = _scored_per_resample(metric, s, y)
+    else:
+        usable, score = _scored_by_counts(*counted, s, y)
+    per_batch = max(1, _DRAWS_PER_BATCH // max(n, 1))
+    values, batch = [], []
     skipped = 0
     for i in range(n_boot):
         rng = np.random.default_rng([seed, i])
-        ok = False
         for _ in range(10):
-            idx = rng.integers(0, n, size=n)
-            try:
-                values.append(float(metric(s[idx], y[idx])))
-                ok = True
+            kept = usable(rng.integers(0, n, size=n))
+            if kept is not None:
+                batch.append(kept)
                 break
-            except DegenerateLabelsError:
-                continue
-        if not ok:
+        else:
             skipped += 1
+        if len(batch) == per_batch:
+            values += score(batch)
+            batch = []
+    values += score(batch)
     if not values:
         # n_boot == 0, or no resample was usable: no interval to report
         return BootstrapResult(point, math.nan, math.nan, skipped)

@@ -169,7 +169,8 @@ def test_bad_config_exits_nonzero(tmp_path):
     (("train", "lr"), -1, "train"),
     (("arch", "embed_dim"), 0, "model architecture"),
     (("seed",), "abc", "seed"),
-], ids=["prevalence", "n_patients", "lr", "embed_dim", "seed"])
+    (("evaluate", "n_boot"), -1, "evaluate"),
+], ids=["prevalence", "n_patients", "lr", "embed_dim", "seed", "n_boot"])
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, path, value,
                                            where):
     cfg_path, out = _config(tmp_path)

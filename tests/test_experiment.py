@@ -1,10 +1,13 @@
 """Experiment configuration and paradigm plumbing."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from fedsurg import experiment as E
 from fedsurg import model as M
+from fedsurg.cohort import OUTCOME_NAMES
 from fedsurg.federation import RoundRecord
 
 
@@ -174,6 +177,35 @@ def test_scores_csv_roundtrip(tmp_path):
     assert back_ids == ids
     assert np.array_equal(back_probs, probs)  # repr round trip is lossless
     assert np.array_equal(back_labels, labels)
+
+
+def _write_scores_by_row(path, encounter_ids, probs, labels):
+    # one writerow per encounter, each score formatted by repr(float(v))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["encounter_id"]
+                        + [f"score_{o}" for o in OUTCOME_NAMES]
+                        + [f"label_{o}" for o in OUTCOME_NAMES])
+        for i, enc in enumerate(encounter_ids):
+            writer.writerow([enc] + [repr(float(v)) for v in probs[i]]
+                            + [int(v) for v in labels[i]])
+
+
+def test_scores_csv_bytes_equal_row_by_row_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 50
+    probs = rng.uniform(0, 1, (n, 4))
+    probs[:6, 0] = [1e-05, 0.0, 1.0, 2.5e-300, 0.1 + 0.2, 1 - 1e-16]
+    probs[:, 3] = probs[:, 3].astype(np.float32)
+    labels = rng.integers(0, 2, (n, 4)).astype(np.int8)
+    ids = np.array([f"p{i}-e{i % 3}" for i in range(n)])
+    for p, y in ((probs, labels), (probs.astype(np.float32), labels),
+                 (probs, labels.astype(float))):
+        E.write_scores_csv(tmp_path / "bulk.csv", ids, p, y)
+        _write_scores_by_row(tmp_path / "rows.csv", ids, p, y)
+        bulk = (tmp_path / "bulk.csv").read_bytes()
+        assert bulk == (tmp_path / "rows.csv").read_bytes()
+    assert b"\r\np0-e0,1e-05," in bulk
 
 
 def test_evaluate_scores_cells(cfg):

@@ -4,6 +4,8 @@ The oracles count pairs and enumerate thresholds directly, with no rank
 arithmetic, so they share no code path with the implementations.
 """
 
+import functools
+import math
 import time
 
 import numpy as np
@@ -369,6 +371,106 @@ def test_bootstrap_redraws_degenerate_resamples():
     r = metrics.bootstrap_ci(s, y, metrics.auroc, n_boot=200, seed=0)
     assert np.isfinite(r.ci_low) and np.isfinite(r.ci_high)
     assert 0 <= r.n_skipped < 200
+
+
+def _bootstrap_loop(scores, labels, metric, n_boot, seed, alpha=0.05):
+    """The bootstrap that sorts every resample: ``metric`` is called on each
+    one. Returns (point, ci_low, ci_high, n_skipped)."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    point = float(metric(s, y))
+    values, skipped = [], 0
+    for i in range(n_boot):
+        rng = np.random.default_rng([seed, i])
+        for _ in range(10):
+            idx = rng.integers(0, len(s), size=len(s))
+            try:
+                values.append(float(metric(s[idx], y[idx])))
+                break
+            except metrics.DegenerateLabelsError:
+                continue
+        else:
+            skipped += 1
+    if not values:
+        return point, math.nan, math.nan, skipped
+    lo, hi = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return point, float(lo), float(hi), skipped
+
+
+def _call_counting(metric):
+    """``metric`` behind a ``functools.wraps`` wrapper that counts calls."""
+    @functools.wraps(metric)
+    def counting(scores, labels):
+        counting.calls += 1
+        return metric(scores, labels)
+    counting.calls = 0
+    return counting
+
+
+def _assert_bootstrap_bitwise(scores, labels, n_boot, seed):
+    """``bootstrap_ci`` of AUROC and AUPRC equals the resample-and-sort loop
+    bit for bit; without a NaN score, no resample calls the metric."""
+    for metric in (metrics.auroc, metrics.auprc):
+        try:
+            want = _bootstrap_loop(scores, labels, metric, n_boot, seed)
+        except metrics.DegenerateLabelsError:
+            with pytest.raises(metrics.DegenerateLabelsError):
+                metrics.bootstrap_ci(scores, labels, metric, n_boot, seed=seed)
+            continue
+        counting = _call_counting(metric)
+        r = metrics.bootstrap_ci(scores, labels, counting, n_boot, seed=seed)
+        assert _bits([r.point, r.ci_low, r.ci_high]) == _bits(want[:3])
+        assert r.n_skipped == want[3]
+        if not np.isnan(scores).any():
+            assert counting.calls == 1          # the point estimate only
+
+
+@st.composite
+def _bootstrap_samples(draw):
+    n = draw(st.integers(2, 3000) | st.integers(2, 40))
+    kind = draw(st.sampled_from(["uniform", "grid7", "float32", "2dp", "nan"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(0, 1, n)
+    if kind == "grid7":
+        scores = rng.choice(np.linspace(0, 1, 7), size=n)
+    elif kind == "float32":
+        scores = u.astype(np.float32).astype(np.float64)
+    elif kind == "2dp":
+        scores = np.round(u, 2)
+    elif kind == "nan":
+        scores = np.where(rng.uniform(0, 1, n) < 0.1, np.nan, np.round(u, 1))
+    else:
+        scores = u
+    if draw(st.booleans()):
+        labels = np.zeros(n)
+        labels[rng.integers(n)] = 1.0           # a single positive
+    else:
+        labels = (rng.uniform(0, 1, n)
+                  < draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))).astype(float)
+    n_boot = draw(st.sampled_from([0, 1, 9, 40]))
+    return scores, labels, n_boot, draw(st.integers(0, 2**32))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_bootstrap_samples())
+def test_counted_bootstrap_equals_resample_loop_bitwise(sample):
+    _assert_bootstrap_bitwise(*sample)
+
+
+def test_counted_bootstrap_equals_resample_loop_on_edge_cases():
+    rng = np.random.default_rng(21)
+    # more resamples than one scoring batch holds
+    n = 200
+    s = np.round(rng.uniform(0, 1, n), 2)
+    y = (rng.uniform(0, 1, n) < 0.1).astype(np.int8)
+    _assert_bootstrap_bitwise(s, y, metrics._DRAWS_PER_BATCH // n + 3, 5)
+    # two rows, one positive: most draws are single-class and redrawn
+    _assert_bootstrap_bitwise(np.array([0.2, 0.7]), np.array([0.0, 1.0]), 50, 1)
+    _assert_bootstrap_bitwise(np.array([0.4, 0.4]), np.array([1, 0]), 20, 2)
+    # every score tied; -0.0 and 0.0 are one tie block
+    _assert_bootstrap_bitwise(np.array([0.0, -0.0, 0.0, -0.0, 0.0]),
+                              np.array([1, 0, 0, 1, 0]), 30, 3)
+    _assert_bootstrap_bitwise(np.full(4, np.nan), np.array([1, 0, 1, 0]), 10, 4)
 
 
 def _distinct_only(metric):
