@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
+import math
+import os
 import zlib
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
@@ -375,6 +378,12 @@ def generate_site(cfg: SiteConfig, spec: FeatureSpec, truth: GroundTruthModel,
 
 
 # --- CSV round trip -------------------------------------------------------
+#
+# cohort_to_csv writes the CSV, then ``<path>.columns``: a columnar copy of
+# what parsing that CSV returns. It is a sequence of np.save records, the
+# SHA-256 of the CSV's bytes first, then the columns in _COLUMNS order.
+# cohort_from_csv returns the copy while its digest matches the CSV and
+# every record is whole and well formed, and parses the CSV otherwise.
 
 def _iso(days: int) -> str:
     return (_EPOCH + datetime.timedelta(days=int(days))).isoformat()
@@ -384,10 +393,48 @@ def _days(iso: str) -> int:
 
 
 _BASE_COLUMNS = list(_COLUMNS[:9])  # one CSV column each
+# each column's dtype as the CSV parse returns it; "U" is str at the width
+# of the column's longest value
+_DTYPES = dict(patient_id="U", encounter_id="U", admission_date=np.int64,
+               age=np.float64, esrd=bool, surgeon_id=np.int64,
+               procedure_code=np.int64, work_units=np.float64,
+               surgery_date=np.int64, continuous=np.float64, binary=np.int8,
+               categorical=np.int64, outcomes=np.int8)
+_DATES = ("admission_date", "surgery_date")
+# what an empty cell reads as, in the blocks where a value may be missing
+_EMPTY = {"continuous": "nan", "categorical": "-1"}
+
+
+def _copy_path(path) -> str:
+    return f"{os.fspath(path)}.columns"
+
+
+def _block_widths(header: list[str]) -> list[int]:
+    """Widths of the continuous, binary, categorical and outcome blocks."""
+    widths = [sum(h.startswith(prefix) for h in header)
+              for prefix in ("cont_", "bin_", "cat_")]
+    return widths + [len(header) - len(_BASE_COLUMNS) - sum(widths)]
+
+
+def _as_parsed(name: str, col: np.ndarray) -> np.ndarray:
+    """``col`` as parsing the CSV that cohort_to_csv writes of it returns it."""
+    dtype = _DTYPES[name]
+    if dtype == "U":
+        return np.array(col.tolist(), dtype=str)
+    if name == "esrd":
+        col = col.astype(np.int8)   # written as int8, so it wraps
+    col = col.astype(dtype)
+    if col.dtype.kind == "f":       # a NaN is written as "nan" or left empty
+        col = np.where(np.isnan(col), np.nan, col)
+    elif name == "categorical":     # a negative category is left empty
+        col = np.where(col < 0, -1, col)
+    return np.ascontiguousarray(col)
 
 
 def cohort_to_csv(cohort: Cohort, path) -> None:
-    """One row per encounter; empty cell = missing; labels as 0/1 columns."""
+    """One row per encounter; empty cell = missing; labels as 0/1 columns.
+    The columnar copy is written after the CSV, so a crash between the two
+    leaves a copy whose digest no longer matches."""
     n_cont, n_bin, n_cat = (cohort.continuous.shape[1], cohort.binary.shape[1],
                             cohort.categorical.shape[1])
     header = (_BASE_COLUMNS
@@ -416,6 +463,12 @@ def cohort_to_csv(cohort: Cohort, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(table.tolist())
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).digest()
+    with open(_copy_path(path), "wb") as fh:
+        np.save(fh, np.frombuffer(digest, dtype=np.uint8), allow_pickle=False)
+        for name in _COLUMNS:
+            np.save(fh, _as_parsed(name, getattr(cohort, name)), allow_pickle=False)
 
 
 def _parse(cells: list[str], dtype, empty: str = "") -> np.ndarray:
@@ -430,41 +483,29 @@ def _parse(cells: list[str], dtype, empty: str = "") -> np.ndarray:
 def _cohort_from_rows(header: list[str], rows: list[list[str]]) -> Cohort:
     table = np.array(rows, dtype=object).reshape(len(rows), len(header))
     n = len(table)
-    b, c, d = len(_BASE_COLUMNS) + np.cumsum(
-        [sum(h.startswith(prefix) for h in header)
-         for prefix in ("cont_", "bin_", "cat_")])
+    edges = [*range(len(_BASE_COLUMNS)), *np.cumsum(
+        [len(_BASE_COLUMNS), *_block_widths(header)]).tolist()]
 
-    def block(lo, hi, dtype, empty=""):
-        return _parse(table[:, lo:hi].ravel().tolist(), dtype, empty).reshape(n, hi - lo)
+    def column(name, lo, hi):
+        dtype = _DTYPES[name]
+        if dtype == "U":
+            return table[:, lo].astype(str)
+        if name in _DATES:
+            col = table[:, lo].tolist()
+            days = {s: _days(s) for s in set(col)}
+            return np.fromiter(map(days.__getitem__, col), dtype=dtype, count=n)
+        block = _parse(table[:, lo:hi].ravel().tolist(), dtype,
+                       _EMPTY.get(name, "")).reshape(n, hi - lo)
+        return block if lo >= len(_BASE_COLUMNS) else block[:, 0]
 
-    def dates(j):
-        col = table[:, j].tolist()
-        days = {s: _days(s) for s in set(col)}
-        return np.fromiter(map(days.__getitem__, col), dtype=np.int64, count=n)
-
-    return Cohort(
-        site_name="",
-        patient_id=table[:, 0].astype(str),
-        encounter_id=table[:, 1].astype(str),
-        admission_date=dates(2),
-        age=block(3, 4, np.float64)[:, 0],
-        esrd=block(4, 5, bool)[:, 0],
-        surgeon_id=block(5, 6, np.int64)[:, 0],
-        procedure_code=block(6, 7, np.int64)[:, 0],
-        work_units=block(7, 8, np.float64)[:, 0],
-        surgery_date=dates(8),
-        continuous=block(len(_BASE_COLUMNS), b, np.float64, "nan"),
-        binary=block(b, c, np.int8),
-        categorical=block(c, d, np.int64, "-1"),
-        outcomes=block(d, len(header), np.int8),
-    )
+    return Cohort("", *map(column, _COLUMNS, edges, edges[1:]))
 
 
 # rows converted at a time: bounds the cell strings alive at once
 _CSV_CHUNK = 256
 
 
-def cohort_from_csv(path, site_name: str | None = None) -> Cohort:
+def _parse_csv(path) -> Cohort:
     parts = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -476,7 +517,59 @@ def cohort_from_csv(path, site_name: str | None = None) -> Cohort:
             parts.append(_cohort_from_rows(header, rows))
             if len(rows) < _CSV_CHUNK:
                 break
-    cohort = Cohort.concat("", parts)
+    return Cohort.concat("", parts)
+
+
+def _load_record(fh, size: int) -> np.ndarray:
+    """The next np.save record of ``fh``, read only once its header is well
+    formed and the file holds all the data that header declares."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 .npy record")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+    count = math.prod(shape)
+    if (fortran_order or dtype.hasobject or min(shape, default=0) < 0
+            or fh.tell() + count * dtype.itemsize > size):
+        raise ValueError("not a C-ordered record held whole by the file")
+    return np.fromfile(fh, dtype=dtype, count=count).reshape(shape)
+
+
+def _read_copy(path, csv_bytes: bytes) -> list[np.ndarray] | None:
+    """The columns of the copy at ``path`` when it was written with the CSV
+    whose bytes are ``csv_bytes`` and holds what the parse would return;
+    None when it is missing, stale, cut short or malformed."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            digest = _load_record(fh, size)
+            if digest.tobytes() != hashlib.sha256(csv_bytes).digest():
+                return None
+            columns = [_load_record(fh, size) for _ in _COLUMNS]
+            if fh.tell() != size:
+                return None
+    except (OSError, ValueError):
+        return None
+    header = next(csv.reader([csv_bytes.partition(b"\n")[0].decode("utf-8")]))
+    for name, col in zip(_COLUMNS, columns):
+        dtype = _DTYPES[name]
+        if dtype == "U" and col.dtype.kind == "U":
+            # as wide as the longest value, as the parse makes it; <U1 at least
+            dtype = (np.str_, np.char.str_len(col).max(initial=1))
+        if col.dtype != np.dtype(dtype) or col.ndim != (
+                1 if name in _BASE_COLUMNS else 2):
+            return None
+    if (len({len(col) for col in columns}) != 1
+            or [col.shape[1] for col in columns[len(_BASE_COLUMNS):]]
+            != _block_widths(header)):
+        return None
+    return columns
+
+
+def cohort_from_csv(path, site_name: str | None = None) -> Cohort:
+    """The cohort in the CSV at ``path``: its columnar copy while that is
+    current and well formed, else the parsed CSV."""
+    with open(path, "rb") as fh:
+        columns = _read_copy(_copy_path(path), fh.read())
+    cohort = Cohort("", *columns) if columns is not None else _parse_csv(path)
     if site_name is None:
         site_name = cohort.patient_id[0].rsplit("-p", 1)[0] if len(cohort) else ""
     cohort.site_name = site_name

@@ -72,6 +72,8 @@ class ExperimentConfig:
         if len(names) != len(set(names)):
             raise ConfigError("duplicate site names")
         _checked("model architecture", lambda: self.arch)
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.n_boot < 0:
             raise ConfigError(f"evaluate: n_boot must be >= 0, got {self.n_boot}")
 

@@ -170,7 +170,9 @@ def test_bad_config_exits_nonzero(tmp_path):
     (("arch", "embed_dim"), 0, "model architecture"),
     (("seed",), "abc", "seed"),
     (("evaluate", "n_boot"), -1, "evaluate"),
-], ids=["prevalence", "n_patients", "lr", "embed_dim", "seed", "n_boot"])
+    (("seed",), -3, "seed"),
+], ids=["prevalence", "n_patients", "lr", "embed_dim", "seed", "n_boot",
+        "negative-seed"])
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, path, value,
                                            where):
     cfg_path, out = _config(tmp_path)
@@ -190,6 +192,27 @@ def test_out_of_range_config_value_exits_2(tmp_path, capsys, path, value,
 def test_train_without_cohorts_errors(tmp_path):
     cfg_path, _ = _config(tmp_path)
     with pytest.raises(SystemExit):
+        cli.main(["train", "--config", str(cfg_path)])
+
+
+def test_generate_writes_the_same_columnar_copies(tmp_path):
+    copies = []
+    for run in ("one", "two"):
+        (tmp_path / run).mkdir()
+        cfg_path, out = _config(tmp_path / run)
+        assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+        copies.append({p.name: p.read_bytes()
+                       for p in (out / "cohorts").glob("*.columns")})
+    assert sorted(copies[0]) == ["a.csv.columns", "b.csv.columns", "x.csv.columns"]
+    assert copies[0] == copies[1]
+
+
+def test_missing_cohort_csv_exits_even_with_its_copy(tmp_path):
+    cfg_path, out = _config(tmp_path)
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+    (out / "cohorts" / "a.csv").unlink()
+    assert (out / "cohorts" / "a.csv.columns").exists()
+    with pytest.raises(SystemExit, match="missing cohort file"):
         cli.main(["train", "--config", str(cfg_path)])
 
 

@@ -2,8 +2,14 @@
 calibration, the CSV round trip and the columnar layout checked against a
 record-by-record oracle."""
 
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from fedsurg import cohort as C
@@ -173,27 +179,44 @@ def test_encounters_sorted_within_patient():
         assert dates == sorted(dates)
 
 
-def test_csv_roundtrip_lossless(tmp_path):
+def _copy_then_parse(monkeypatch, path, **kw):
+    """The cohort at ``path`` read from its columnar copy with the parser
+    made to fail, then parsed with the copy unlinked."""
+    copy = Path(C._copy_path(path))
+    assert copy.exists()
+    with monkeypatch.context() as m:
+        m.setattr(C, "_parse_csv", _no_parse)
+        yield C.cohort_from_csv(path, **kw)
+    copy.unlink()
+    yield C.cohort_from_csv(path, **kw)
+
+
+def _no_parse(path):
+    raise AssertionError(f"{path} was parsed although its copy is current")
+
+
+def test_csv_roundtrip_lossless(tmp_path, monkeypatch):
     cohort, _ = _gen(n_patients=300, missing_rate=0.2)
     assert len(cohort) > C._CSV_CHUNK   # read back in more than one chunk
     assert np.isnan(cohort.continuous).any() and (cohort.categorical < 0).any()
     path = tmp_path / "c.csv"
     C.cohort_to_csv(cohort, path)
-    back = C.cohort_from_csv(path)
-    assert_cohorts_identical(cohort, back)
-    # floats come back bit for bit
-    for name in ("age", "work_units", "continuous"):
-        assert getattr(back, name).tobytes() == getattr(cohort, name).tobytes()
-    C.cohort_to_csv(back, tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    for back in _copy_then_parse(monkeypatch, path):
+        assert_cohorts_identical(cohort, back)
+        # floats come back bit for bit
+        for name in ("age", "work_units", "continuous"):
+            assert getattr(back, name).tobytes() == getattr(cohort, name).tobytes()
+        C.cohort_to_csv(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
-def test_csv_roundtrip_of_empty_and_quoted_cohorts(tmp_path):
+def test_csv_roundtrip_of_empty_and_quoted_cohorts(tmp_path, monkeypatch):
     cohort, _ = _gen(n_patients=40, missing_rate=0.2)
     empty = cohort.take([])
     C.cohort_to_csv(empty, tmp_path / "empty.csv")
-    assert_cohorts_identical(
-        empty, C.cohort_from_csv(tmp_path / "empty.csv", site_name="siteA"))
+    for back in _copy_then_parse(monkeypatch, tmp_path / "empty.csv",
+                                 site_name="siteA"):
+        assert_cohorts_identical(empty, back)
     # a comma, a quote or a newline in the site name makes the writer quote
     # the ids; the other line breaks of str.splitlines it leaves unquoted
     for prefix in ('si,"te-', "line\nbreak\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029-"):
@@ -202,14 +225,188 @@ def test_csv_roundtrip_of_empty_and_quoted_cohorts(tmp_path):
         odd.encounter_id = np.char.add(prefix, odd.encounter_id)
         C.cohort_to_csv(odd, tmp_path / "odd.csv")
         assert '"' in (tmp_path / "odd.csv").read_text(encoding="utf-8")
-        assert_cohorts_identical(odd, C.cohort_from_csv(tmp_path / "odd.csv"))
-    # a row cut short is an error, not a shifted column
+        for back in _copy_then_parse(monkeypatch, tmp_path / "odd.csv"):
+            assert_cohorts_identical(odd, back)
+    # a row cut short is an error, not a shifted column, also while the
+    # CSV's columnar copy is in place
     C.cohort_to_csv(cohort, tmp_path / "plain.csv")
     for name in ("odd.csv", "plain.csv"):
         text = (tmp_path / name).read_text(encoding="utf-8").rstrip()
         (tmp_path / "cut.csv").write_text(text[:text.rindex(",")] + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="cells"):
             C.cohort_from_csv(tmp_path / "cut.csv")
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(plain.read_bytes().rstrip()[:-2] + b"\r\n")
+    with pytest.raises(ValueError, match="cells"):
+        C.cohort_from_csv(plain)
+
+
+def assert_cohorts_bitwise(a: C.Cohort, b: C.Cohort):
+    """Every column equal in dtype (string width included), shape and bytes."""
+    assert a.site_name == b.site_name
+    for name in C._COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\x00"), max_size=6)
+_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, np.nan, -np.nan])
+
+
+@st.composite
+def _odd_cohorts(draw):
+    """Cohorts with the values a CSV writes differently from how it holds
+    them: NaN of either sign, -0.0, negative categories, int64 labels and
+    flags that wrap to int8, ids to quote; random missingness on top, and
+    maybe a subset taken so that the ids are narrower than their dtype."""
+    n = draw(st.integers(0, 12))
+    n_cont, n_bin, n_cat = draw(st.tuples(*[st.integers(0, 3)] * 3))
+
+    def column(elements, dtype, width=None):
+        size = n if width is None else n * width
+        values = draw(st.lists(elements, min_size=size, max_size=size))
+        col = np.array(values, dtype=dtype)
+        return col if width is None else col.reshape(n, width)
+
+    site = draw(_TEXT)
+    ids = st.builds(lambda s: site + "-p" + s, _TEXT)
+    days = st.integers(-1000, 40_000)
+    ints = st.integers(-2**40, 2**40)
+    width = len(C.OUTCOME_NAMES)
+    esrd = (column(st.sampled_from([0, 1, 2, -1, 256]), np.int64)
+            if draw(st.booleans()) else column(st.booleans(), bool))
+    binary = (column(st.integers(-300, 300), np.int64, n_bin)
+              if draw(st.booleans()) else column(st.integers(-128, 127), np.int8, n_bin))
+    outcomes = (column(st.integers(-300, 300), np.int64, width)
+                if draw(st.booleans()) else column(st.integers(0, 1), np.int8, width))
+    cohort = C.Cohort(
+        site, column(ids, str), column(ids, str), column(days, np.int64),
+        column(_FLOATS, np.float64), esrd, column(ints, np.int64),
+        column(ints, np.int64), column(_FLOATS, np.float64),
+        column(days, np.int64), column(_FLOATS, np.float64, n_cont), binary,
+        column(st.integers(-7, 20), np.int64, n_cat), outcomes)
+    rate = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    cohort = C.inject_missingness(cohort, rate, draw(st.integers(0, 9)))
+    if draw(st.booleans()):
+        cohort = cohort.take(draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                           max_size=n)) if n else [])
+    return cohort
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_odd_cohorts())
+def test_columnar_copy_reads_as_the_parse_bitwise(cohort):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        C.cohort_to_csv(cohort, path)
+        assert C._read_copy(C._copy_path(path), path.read_bytes()) is not None
+        columnar = C.cohort_from_csv(path)
+        Path(C._copy_path(path)).unlink()
+        assert_cohorts_bitwise(columnar, C.cohort_from_csv(path))
+
+
+def test_columnar_copy_edge_cases_read_as_the_parse(tmp_path, monkeypatch):
+    cohort, _ = _gen(n_patients=40, missing_rate=0.2)
+    cohort.age[:4] = [-0.0, -np.nan, np.nan, np.inf]
+    cohort.continuous[0, :2] = [-0.0, -np.nan]
+    cohort.categorical[1, 0] = -7
+    # quoted ids, one longer than the rest, and int64 flags and labels
+    wide = C.Cohort.concat('si,"te', [cohort])
+    wide.patient_id = np.char.add('si,"te-', np.char.add(
+        wide.patient_id, ["x" * 9] + [""] * (len(wide) - 1)))
+    wide.binary = cohort.binary.astype(np.int64) + 256
+    wide.esrd = np.arange(len(cohort)) * 128
+    narrow = wide.take(np.arange(1, 9))
+    assert narrow.patient_id.dtype.itemsize > 4 * max(map(len, narrow.patient_id.tolist()))
+    cases = {"empty": cohort.take([]), "generated": cohort, "wide": wide,
+             "a subset of the wide ids": narrow}
+    for what, case in cases.items():
+        path = tmp_path / "c.csv"
+        C.cohort_to_csv(case, path)
+        columnar, parsed = _copy_then_parse(monkeypatch, path, site_name=what)
+        assert_cohorts_bitwise(columnar, parsed)
+    assert parsed.binary.max() < 128 and set(parsed.esrd.tolist()) == {False, True}
+
+
+def _npy(*arrays) -> bytes:
+    buf = io.BytesIO()
+    for a in arrays:
+        np.save(buf, a)
+    return buf.getvalue()
+
+
+def test_stale_or_damaged_copy_reads_as_the_parse(tmp_path):
+    cohort, _ = _gen(n_patients=60, missing_rate=0.2)
+    path = tmp_path / "c.csv"
+    C.cohort_to_csv(cohort, path)
+    copy = Path(C._copy_path(path))
+    whole = copy.read_bytes()
+    copy.unlink()
+    parsed = C.cohort_from_csv(path)          # the copy missing
+    digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)
+    cols = [getattr(parsed, name) for name in C._COLUMNS]
+    base = len(C._BASE_COLUMNS)
+    damaged = {
+        "empty": b"",
+        "garbage": bytes(range(256)) * 64,
+        "cut in the digest": whole[:100],
+        "cut in a column": whole[:len(whole) // 2],
+        "one byte short": whole[:-1],
+        "a byte past the end": whole + b"\0",
+        "stale": _npy(np.zeros(32, np.uint8), *cols),
+        "a column missing": _npy(digest, *cols[:-1]),
+        "a wrong dtype": _npy(digest, *cols[:3], cols[3].astype(np.float32), *cols[4:]),
+        "numbers for ids": _npy(digest, np.arange(len(parsed)), *cols[1:]),
+        "a wider string": _npy(digest, cols[0].astype("U99"), *cols[1:]),
+        "a byte-swapped string": _npy(digest, cols[0].astype(">U99"), *cols[1:]),
+        "a wrong ndim": _npy(digest, *cols[:-1], cols[-1].ravel()),
+        "a pickled column": _npy(digest, cols[0].astype(object), *cols[1:]),
+        "Fortran order": _npy(digest, *cols[:base], np.asfortranarray(cols[base]),
+                              *cols[base + 1:]),
+        "rows disagree": _npy(digest, cols[0][:-1], *cols[1:]),
+        "widths differ": _npy(digest, *cols[:base], cols[base][:, 1:],
+                              np.hstack([cols[base + 1], cols[base + 1][:, :1]]),
+                              *cols[base + 2:]),
+        "a negative dim": _npy(digest, *cols).replace(
+            b"(%d,), }" % len(parsed), b"(-%d,),}" % len(parsed), 1),
+    }
+    assert damaged["a negative dim"] != _npy(digest, *cols)
+    for what, data in damaged.items():
+        copy.write_bytes(data)
+        assert C._read_copy(copy, path.read_bytes()) is None, what
+        assert_cohorts_bitwise(C.cohort_from_csv(path), parsed)
+    copy.write_bytes(whole)
+    assert C._read_copy(copy, path.read_bytes()) is not None
+
+
+def test_csv_edited_after_writing_reads_as_edited(tmp_path):
+    cohort, _ = _gen(n_patients=40, missing_rate=0.2)
+    path = tmp_path / "c.csv"
+    C.cohort_to_csv(cohort, path)
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[1].split(b",")
+    assert cells[3] == repr(float(cohort.age[0])).encode()
+    cells[3] = b"99.5"
+    lines[1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    back = C.cohort_from_csv(path)
+    assert back.age[0] == 99.5
+    assert np.array_equal(back.age[1:], cohort.age[1:])
+    Path(C._copy_path(path)).unlink()
+    assert_cohorts_bitwise(back, C.cohort_from_csv(path))
+
+
+def test_missing_csv_is_an_error_even_with_its_copy(tmp_path):
+    cohort, _ = _gen(n_patients=20)
+    path = tmp_path / "c.csv"
+    C.cohort_to_csv(cohort, path)
+    path.unlink()
+    assert Path(C._copy_path(path)).exists()
+    with pytest.raises(FileNotFoundError):
+        C.cohort_from_csv(path)
 
 
 def test_csv_writes_one_row_per_encounter(tmp_path):
