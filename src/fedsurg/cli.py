@@ -163,6 +163,9 @@ def _cell_index(cells: list[dict]) -> dict:
 
 def cmd_compare(cfg: exp.ExperimentConfig, args) -> int:
     out = Path(cfg.output_dir)
+    report = out / "reports" / "report.json"
+    if not report.exists():
+        raise SystemExit(f"missing {report}; run `fedsurg evaluate` first")
     cells = _cell_index(exp.load_report(out / "reports"))
     models = sorted({m for m, _, _ in cells})
     verdicts = []

@@ -21,12 +21,12 @@ import yaml
 from . import metrics
 from .cohort import (Cohort, FeatureSpec, GenerationReport, GroundTruthModel,
                      OUTCOME_NAMES, SiteConfig, generate_site, make_ground_truth)
-from .federation import (RoundRecord, SiteWorker, TrainConfig, TrainResult,
-                         run_federation_inprocess, run_rounds, validation_auroc)
+from .federation import (ALGORITHMS, RoundRecord, SiteWorker, TrainConfig,
+                         TrainResult, run_federation_inprocess, run_rounds,
+                         validation_auroc)
 from .model import (ArchConfig, Batch, ModelParams, init_params, local_train,
                     predict)
-from .preprocess import Preprocessor, chronological_split, merge_scaler_stats
-from .wire import quantize32
+from .preprocess import Preprocessor, chronological_split, shared_scaler
 
 
 class ConfigError(ValueError):
@@ -76,6 +76,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.n_boot < 0:
             raise ConfigError(f"evaluate: n_boot must be >= 0, got {self.n_boot}")
+        if (isinstance(self.algorithms, str)
+                or not set(self.algorithms) <= set(ALGORITHMS)
+                or len(set(self.algorithms)) != len(self.algorithms)):
+            raise ConfigError(f"algorithms: a list of {', '.join(ALGORITHMS)}, "
+                              f"each at most once, got {self.algorithms!r}")
 
     @property
     def development_sites(self) -> list[str]:
@@ -200,18 +205,11 @@ class SiteData:
     pp_fed: Preprocessor | None = None
 
 
-def shared_scaler(stats: list[tuple[np.ndarray, np.ndarray]]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope of per-site stats after the transport's float32 round-trip."""
-    quantized = [quantize32({"mins": m, "maxs": x}) for m, x in stats]
-    return merge_scaler_stats([(q["mins"], q["maxs"]) for q in quantized])
-
-
 def prepare_sites(cfg: ExperimentConfig, cohorts: dict[str, Cohort]
                   ) -> dict[str, SiteData]:
-    """Split each site chronologically and fit local + shared-scaler
-    preprocessors. The shared scaler is built from development sites only
-    and applied to every site, mirroring the federation protocol."""
+    """Split each site chronologically and fit its preprocessor once:
+    ``pp_local`` is the fit, ``pp_fed`` that fit rescaled to the shared
+    range of the development sites, as the federation protocol builds it."""
     vocabs = cfg.features.hc_vocab_sizes
     sites: dict[str, SiteData] = {}
     for entry in cfg.sites:
@@ -219,13 +217,10 @@ def prepare_sites(cfg: ExperimentConfig, cohorts: dict[str, Cohort]
         train, val, test = chronological_split(cohorts[name])
         pp_local = Preprocessor(vocabs, entry.config.surgeon_vocab_size).fit(train)
         sites[name] = SiteData(name, entry.role, train, val, test, pp_local)
-    dev_stats = [sites[n].pp_local.scaler_stats() for n in cfg.development_sites]
-    gmins, gmaxs = shared_scaler(dev_stats)
-    for entry in cfg.sites:
-        name = entry.config.site_name
-        sites[name].pp_fed = Preprocessor(
-            vocabs, entry.config.surgeon_vocab_size).fit(
-                sites[name].train, scaler_override=(gmins, gmaxs))
+    shared = shared_scaler([sites[n].pp_local.scaler_stats()
+                            for n in cfg.development_sites])
+    for sd in sites.values():
+        sd.pp_fed = sd.pp_local.rescaled(*shared)
     return sites
 
 

@@ -14,7 +14,7 @@ central training run it over epochs, the coordinator over rounds.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import metrics
 from .cohort import Cohort
 from .model import (ArchConfig, ModelParams, arch_fingerprint, init_params,
                     local_train, predict)
-from .preprocess import Preprocessor, merge_scaler_stats
+from .preprocess import Preprocessor, shared_scaler
 from .wire import (ChannelClosed, ClientUpdate, GlobalModel, GlobalScaler,
                    Hello, Message, ProtocolError, RoundAck, ScalerStats,
                    Shutdown, decode_frame, encode_frame)
@@ -172,11 +172,9 @@ class TrainResult:
     final_params: ModelParams
     history: list[RoundRecord]
     scaffold: ScaffoldState | None = None
-    params_trace: list[ModelParams] = field(default_factory=list)
 
 
-def run_rounds(params: ModelParams, cfg: TrainConfig, one_round,
-               record_params: bool = False) -> TrainResult:
+def run_rounds(params: ModelParams, cfg: TrainConfig, one_round) -> TrainResult:
     """Validation-score model selection with patience, the one rule of
     every paradigm: keep the first parameters with the highest mean
     validation AUROC, replaced only by a strict improvement, and stop once
@@ -186,7 +184,6 @@ def run_rounds(params: ModelParams, cfg: TrainConfig, one_round,
     per-outcome validation AUROC, the train loss per participant and the
     parameters the next round starts from."""
     history: list[RoundRecord] = []
-    trace: list[ModelParams] = []
     best_params, best_round, best_score = dict(params), -1, -np.inf
     since_best = 0
     for t in range(cfg.rounds):
@@ -194,8 +191,6 @@ def run_rounds(params: ModelParams, cfg: TrainConfig, one_round,
         val = tuple(float(v) for v in val)
         mean_val = float(np.mean(val))
         history.append(RoundRecord(t, val, losses, mean_val))
-        if record_params:
-            trace.append(dict(params))
         if mean_val > best_score:
             best_params, best_round, best_score = dict(scored), t, mean_val
             since_best = 0
@@ -203,8 +198,7 @@ def run_rounds(params: ModelParams, cfg: TrainConfig, one_round,
             since_best += 1
             if since_best >= cfg.patience:
                 break
-    return TrainResult(best_params, best_round, best_score, params, history,
-                       params_trace=trace)
+    return TrainResult(best_params, best_round, best_score, params, history)
 
 
 # --- coordinator ----------------------------------------------------------
@@ -258,7 +252,7 @@ def _receive(chan, cid: str, want: type, round_: int | None = None):
 
 
 def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
-               expected: list[str], record_params: bool = False) -> TrainResult:
+               expected: list[str]) -> TrainResult:
     """Server side of one federated training run: handshake, the shared
     scaler, then rounds of local training and aggregation until
     ``run_rounds`` stops; every site gets Shutdown at the end."""
@@ -267,7 +261,12 @@ def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
     expected = sorted(expected)
     by_id = _handshake(channels, arch, expected)
     stats = [_receive(by_id[cid], cid, ScalerStats) for cid in expected]
-    gmins, gmaxs = merge_scaler_stats([(m.mins, m.maxs) for m in stats])
+    for cid, s in zip(expected, stats):
+        if {len(s.mins), len(s.maxs)} != {arch.n_continuous}:
+            raise FederationError(
+                f"client {cid!r} sent a scaler range of {len(s.mins)} mins and "
+                f"{len(s.maxs)} maxs for {arch.n_continuous} continuous features")
+    gmins, gmaxs = shared_scaler([(s.mins, s.maxs) for s in stats])
     for cid in expected:
         by_id[cid].send(GlobalScaler(gmins, gmaxs))
 
@@ -290,7 +289,7 @@ def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
         # the clients scored the model they were sent, not the aggregate
         return params, val, losses, nxt
 
-    result = run_rounds(params, cfg, one_round, record_params)
+    result = run_rounds(params, cfg, one_round)
     for cid in expected:
         by_id[cid].send(Shutdown())
     result.scaffold = scaffold
@@ -340,6 +339,7 @@ class SiteWorker:
         # the message type the protocol allows next; None outside a session
         self._expect: type | None = None
         self._c_i: ModelParams | None = None  # SCAFFOLD client control
+        self._fit: Preprocessor | None = None  # the site's own fit
 
     def hello(self) -> Hello:
         self._expect = RoundAck
@@ -356,11 +356,13 @@ class SiteWorker:
                 f"site {self.site_name!r} expected {want}, "
                 f"got {type(msg).__name__}")
         if isinstance(msg, RoundAck):
+            vocabs = tuple(v for v, _ in self.arch.high_card_specs)
+            self._fit = Preprocessor(vocabs, self.surgeon_vocab_size).fit(
+                self.train)
             self._expect = GlobalScaler
-            return ScalerStats(*self._preprocessor().fit(self.train).scaler_stats())
+            return ScalerStats(*self._fit.scaler_stats())
         if isinstance(msg, GlobalScaler):
-            pp = self._preprocessor().fit(
-                self.train, scaler_override=(msg.mins, msg.maxs))
+            pp = self._fit.rescaled(msg.mins, msg.maxs)
             self._train_fm = pp.transform(self.train)
             self._val_fm = pp.transform(self.val)
             self._expect = GlobalModel
@@ -374,10 +376,6 @@ class SiteWorker:
             reply = self.handle(msg)
             if reply is not None:
                 channel.send(reply)
-
-    def _preprocessor(self) -> Preprocessor:
-        vocabs = tuple(v for v, _ in self.arch.high_card_specs)
-        return Preprocessor(vocabs, self.surgeon_vocab_size)
 
     def _local_round(self, msg: GlobalModel) -> ClientUpdate:
         x = msg.params
@@ -435,9 +433,8 @@ class LoopbackChannel:
 
 
 def run_federation_inprocess(arch: ArchConfig, algo: str, cfg: TrainConfig,
-                             workers: dict[str, SiteWorker],
-                             record_params: bool = False) -> TrainResult:
+                             workers: dict[str, SiteWorker]) -> TrainResult:
     """The coordinator and every site worker, in sorted site order, on the
     calling thread."""
     channels = [LoopbackChannel(workers[cid]) for cid in sorted(workers)]
-    return coordinate(arch, algo, cfg, channels, sorted(workers), record_params)
+    return coordinate(arch, algo, cfg, channels, sorted(workers))

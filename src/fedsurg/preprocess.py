@@ -2,8 +2,8 @@
 
 The Preprocessor follows the fit/transform idiom: percentile clipping,
 median imputation and min-max scaling are learned from the training
-cohort only. In federated mode the min-max range is replaced by a shared
-scaler built from exchanged per-site (min, max) summaries; clip bounds,
+cohort only. In federated mode a site's fit is ``rescaled`` to the range
+``shared_scaler`` builds from per-site (min, max) summaries; clip bounds,
 medians and category maps stay site-local.
 
 All of it works on whole columns: the split orders rows with ``lexsort``,
@@ -16,13 +16,15 @@ its partition orders the two zeros.)
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cohort import Cohort
 from .model import Batch
+from .wire import quantize32
 
 FORMAT_VERSION = 1
 
@@ -35,22 +37,17 @@ class FitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple[float, float, float] = (0.60, 0.10, 0.30)
-
-    def __post_init__(self):
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+# the encounter shares of train and of train + val (60 / 10 / 30)
+TRAIN_FRACTION = 0.60
+TRAIN_VAL_FRACTION = 0.70
 
 
-def chronological_split(cohort: Cohort, spec: SplitSpec = SplitSpec()
-                        ) -> tuple[Cohort, Cohort, Cohort]:
+def chronological_split(cohort: Cohort) -> tuple[Cohort, Cohort, Cohort]:
     """Patient-grouped chronological split by first admission date.
 
     All of a patient's encounters land in one cohort; cut points are the
     patient boundaries whose cumulative encounter fractions are closest
-    to the configured fractions. Patients are ordered by (first admission,
+    to the two fractions above. Patients are ordered by (first admission,
     patient id), and each patient's encounters by (admission, encounter id).
     """
     if not len(cohort):
@@ -70,12 +67,10 @@ def chronological_split(cohort: Cohort, spec: SplitSpec = SplitSpec()
     cum = np.cumsum(counts[ordered])
     total = cum[-1]
 
-    f_train = spec.fractions[0]
-    f_trainval = spec.fractions[0] + spec.fractions[1]
     t_candidates = np.arange(1, n_pat - 1)
-    t_idx = int(t_candidates[np.argmin(np.abs(cum[t_candidates - 1] - f_train * total))])
+    t_idx = int(t_candidates[np.argmin(np.abs(cum[t_candidates - 1] - TRAIN_FRACTION * total))])
     v_candidates = np.arange(t_idx + 1, n_pat)
-    v_idx = int(v_candidates[np.argmin(np.abs(cum[v_candidates - 1] - f_trainval * total))])
+    v_idx = int(v_candidates[np.argmin(np.abs(cum[v_candidates - 1] - TRAIN_VAL_FRACTION * total))])
     t_cut, v_cut = cum[t_idx - 1], cum[v_idx - 1]
     return (cohort.take(rows[:t_cut]), cohort.take(rows[t_cut:v_cut]),
             cohort.take(rows[v_cut:]))
@@ -148,9 +143,7 @@ class Preprocessor:
                 out[:, i] = np.clip(out[:, i], lo, hi)
         return out
 
-    def fit(self, train: Cohort,
-            scaler_override: tuple[np.ndarray, np.ndarray] | None = None
-            ) -> "Preprocessor":
+    def fit(self, train: Cohort) -> "Preprocessor":
         """Per continuous column, the 1st/99th percentile clip bounds, the
         median of the clipped values and their (min, max), all from one
         sort of the training matrix (NaN sorts last)."""
@@ -173,11 +166,7 @@ class Preprocessor:
         # starts from 0.0
         mid_lo, mid_hi = clipped((m - 1) // 2), clipped(m // 2)
         median = np.where(m % 2 == 1, 0.0 + mid_lo, (0.0 + mid_lo + mid_hi) / 2.0)
-        if scaler_override is not None:
-            smin = np.asarray(scaler_override[0], dtype=np.float64)
-            smax = np.asarray(scaler_override[1], dtype=np.float64)
-        else:
-            smin, smax = clipped(0), clipped(m - 1)
+        smin, smax = clipped(0), clipped(m - 1)
         self.cont_stats = [ContinuousStats(*v) for v in zip(
             clip_low.tolist(), clip_high.tolist(), median.tolist(),
             smin.tolist(), smax.tolist())]
@@ -193,6 +182,19 @@ class Preprocessor:
         mins = np.array([s.scale_min for s in self.cont_stats])
         maxs = np.array([s.scale_max for s in self.cont_stats])
         return mins, maxs
+
+    def rescaled(self, mins, maxs) -> "Preprocessor":
+        """A copy of this fit that scales to the range ``(mins, maxs)``;
+        clip bounds, medians and seen codes stay this fit's."""
+        n = len(self.scaler_stats()[0])  # FitError when not fitted
+        mins, maxs = (np.asarray(v, dtype=np.float64) for v in (mins, maxs))
+        if mins.shape != (n,) or maxs.shape != (n,):
+            raise FitError(f"scaler range of shapes {mins.shape} and "
+                           f"{maxs.shape} for a fit of {n} continuous features")
+        out = copy.copy(self)
+        out.cont_stats = [replace(s, scale_min=lo, scale_max=hi) for s, lo, hi
+                          in zip(self.cont_stats, mins.tolist(), maxs.tolist())]
+        return out
 
     def transform(self, cohort: Cohort) -> Batch:
         if not self.fitted:
@@ -245,15 +247,14 @@ class Preprocessor:
         return pp
 
 
-def merge_scaler_stats(per_site: list[tuple[np.ndarray, np.ndarray]]
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Envelope of per-site (min, max) vectors: min of mins, max of maxes."""
-    if not per_site:
-        raise ValueError("need stats from at least one site")
-    n = len(per_site[0][0])
-    for mins, maxs in per_site:
-        if len(mins) != n or len(maxs) != n:
-            raise ValueError("inconsistent feature counts across sites")
-    mins = np.min(np.stack([m for m, _ in per_site]), axis=0)
-    maxs = np.max(np.stack([m for _, m in per_site]), axis=0)
-    return mins, maxs
+def shared_scaler(per_site: list[tuple[np.ndarray, np.ndarray]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The federation's one min-max range: the envelope (min of mins, max
+    of maxes) of the per-site ranges, each rounded to float32 as the wire
+    carries it. A range that has crossed the wire already is unchanged by
+    the rounding, so the coordinator and ``prepare_sites`` agree bit for bit."""
+    quantized = [quantize32({"mins": m, "maxs": x}) for m, x in per_site]
+    if len({q[k].shape for q in quantized for k in q}) != 1:
+        raise ValueError("need ranges of one width from at least one site")
+    return (np.min([q["mins"] for q in quantized], axis=0),
+            np.max([q["maxs"] for q in quantized], axis=0))

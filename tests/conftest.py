@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fedsurg import federation as F
 from fedsurg.model import ArchConfig, Batch
+from fedsurg.wire import GlobalModel
 
 
 SMALL_ARCH = ArchConfig(
@@ -34,3 +36,29 @@ def random_batch(arch: ArchConfig, n: int, seed: int,
 @pytest.fixture
 def batch_factory():
     return random_batch
+
+
+class RecordingChannel(F.LoopbackChannel):
+    """A loopback link that keeps the parameters of every GlobalModel the
+    coordinator sends, as the coordinator holds them (before the wire's
+    float32 rounding)."""
+
+    def __init__(self, worker):
+        super().__init__(worker)
+        self.sent = []
+
+    def send(self, msg):
+        if isinstance(msg, GlobalModel):
+            self.sent.append(msg.params)
+        super().send(msg)
+
+
+def federate_traced(arch, algo, cfg, workers):
+    """``run_federation_inprocess`` plus the parameters each round ended
+    with: the model sent at the next round, and the final parameters after
+    the last round."""
+    channels = [RecordingChannel(workers[cid]) for cid in sorted(workers)]
+    result = F.coordinate(arch, algo, cfg, channels, sorted(workers))
+    trace = channels[0].sent[1:] + [result.final_params]
+    assert len(trace) == len(result.history)
+    return result, trace

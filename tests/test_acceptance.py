@@ -23,8 +23,8 @@ from fedsurg import metrics
 from fedsurg import model as M
 from fedsurg import personalize as PZ
 from fedsurg import wire as W
-from fedsurg.preprocess import Preprocessor, chronological_split, merge_scaler_stats
-from conftest import SMALL_ARCH, random_batch
+from fedsurg.preprocess import Preprocessor, chronological_split, shared_scaler
+from conftest import SMALL_ARCH, federate_traced, random_batch
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "configs" / "acceptance.yaml"
@@ -106,14 +106,13 @@ def test_criterion_2_aggregator_algebra():
         cfg = F.TrainConfig(lr=0.1, batch_size=64, rounds=20, patience=20, seed=4)
 
         # (i) FedProx(mu=0) == FedAvg, bit for bit, over 20 rounds
-        ravg = F.run_federation_inprocess(SMALL_ARCH, "fedavg", cfg,
-                                          _small_workers("fedavg", cfg),
-                                          record_params=True)
-        rprox = F.run_federation_inprocess(SMALL_ARCH, "fedprox", cfg,
-                                           _small_workers("fedprox", cfg),
-                                           record_params=True)
+        ravg, avg_trace = federate_traced(SMALL_ARCH, "fedavg", cfg,
+                                          _small_workers("fedavg", cfg))
+        rprox, prox_trace = federate_traced(SMALL_ARCH, "fedprox", cfg,
+                                            _small_workers("fedprox", cfg))
         assert ravg.history == rprox.history
-        for pa, pb in zip(ravg.params_trace, rprox.params_trace):
+        assert len(avg_trace) == len(prox_trace) == 20
+        for pa, pb in zip(avg_trace, prox_trace):
             assert M.params_digest(pa) == M.params_digest(pb)
 
         # (ii) SCAFFOLD control-mean invariant after every round
@@ -122,9 +121,8 @@ def test_criterion_2_aggregator_algebra():
         for n in names:
             train, _ = _small_site(n)
             lpp = Preprocessor(SPEC_SMALL.hc_vocab_sizes, 10).fit(train)
-            override = E.shared_scaler([lpp.scaler_stats()])
-            fms[n] = Preprocessor(SPEC_SMALL.hc_vocab_sizes, 10).fit(
-                train, scaler_override=override).transform(train)
+            fms[n] = lpp.rescaled(
+                *shared_scaler([lpp.scaler_stats()])).transform(train)
         x = M.init_params(SMALL_ARCH, cfg.seed)
         state = F.ScaffoldState.zeros(x, names)
         c_is = {n: F.zeros_like_params(x) for n in names}
@@ -151,20 +149,17 @@ def test_criterion_2_aggregator_algebra():
         train, val = _small_site("solo")
         workers = {"solo": F.SiteWorker("solo", train, val, SMALL_ARCH,
                                        "fedavg", solo_cfg, 10)}
-        result = F.run_federation_inprocess(SMALL_ARCH, "fedavg", solo_cfg,
-                                            workers, record_params=True)
+        _, trace = federate_traced(SMALL_ARCH, "fedavg", solo_cfg, workers)
+        assert len(trace) == 20
         lpp = Preprocessor(SPEC_SMALL.hc_vocab_sizes, 10).fit(train)
-        override = E.shared_scaler([lpp.scaler_stats()])
-        fm = Preprocessor(SPEC_SMALL.hc_vocab_sizes, 10).fit(
-            train, scaler_override=override).transform(train)
+        fm = lpp.rescaled(*shared_scaler([lpp.scaler_stats()])).transform(train)
         params = M.init_params(SMALL_ARCH, solo_cfg.seed)
         for t in range(20):
             xq = W.quantize32(params)
             rep = M.local_train(xq, SMALL_ARCH, fm, solo_cfg,
                                 F.client_rng(solo_cfg.seed, "solo", t))
             params = W.quantize32(rep.params)
-            diff = max(np.abs(result.params_trace[t][k] - params[k]).max()
-                       for k in params)
+            diff = max(np.abs(trace[t][k] - params[k]).max() for k in params)
             assert diff < 1e-9, f"round {t}: {diff}"
 
     _verdict(2, "aggregator algebra", check)
@@ -304,11 +299,9 @@ def test_criterion_6_pipeline_protocol():
         # shared-scaler transform == pooled-minmax transform (site clips)
         trains = [chronological_split(c)[0] for c in cohorts]
         pps = [Preprocessor(spec.hc_vocab_sizes).fit(t) for t in trains]
-        gmins, gmaxs = merge_scaler_stats([p.scaler_stats() for p in pps])
+        gmins, gmaxs = shared_scaler([p.scaler_stats() for p in pps])
         for pp, train in zip(pps, trains):
-            shared = Preprocessor(spec.hc_vocab_sizes).fit(
-                train, scaler_override=(gmins, gmaxs))
-            fm = shared.transform(train)
+            fm = pp.rescaled(gmins, gmaxs).transform(train)
             assert np.all((fm.continuous >= 0.0) & (fm.continuous <= 1.0))
             cont = np.stack([r.continuous for r in train.records])
             for i in range(spec.n_continuous):

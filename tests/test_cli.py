@@ -171,8 +171,12 @@ def test_bad_config_exits_nonzero(tmp_path):
     (("seed",), "abc", "seed"),
     (("evaluate", "n_boot"), -1, "evaluate"),
     (("seed",), -3, "seed"),
+    (("algorithms",), ["fedavg", "fedavgg"], "algorithms"),
+    (("algorithms",), ["scaffold", "fedavg", "scaffold"], "algorithms"),
+    (("algorithms",), "fedavg", "algorithms"),
 ], ids=["prevalence", "n_patients", "lr", "embed_dim", "seed", "n_boot",
-        "negative-seed"])
+        "negative-seed", "unknown-algorithm", "repeated-algorithm",
+        "algorithms-not-a-list"])
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, path, value,
                                            where):
     cfg_path, out = _config(tmp_path)
@@ -187,6 +191,13 @@ def test_out_of_range_config_value_exits_2(tmp_path, capsys, path, value,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ")
     assert not out.exists()
+
+
+def test_compare_before_evaluate_exits(tmp_path):
+    cfg_path, _ = _config(tmp_path)
+    with pytest.raises(SystemExit,
+                       match=r"reports/report\.json; run `fedsurg evaluate` first"):
+        cli.main(["compare", "--config", str(cfg_path)])
 
 
 def test_train_without_cohorts_errors(tmp_path):

@@ -9,6 +9,8 @@ from fedsurg import experiment as E
 from fedsurg import model as M
 from fedsurg.cohort import OUTCOME_NAMES
 from fedsurg.federation import RoundRecord
+from fedsurg.preprocess import shared_scaler
+from fedsurg.wire import GlobalScaler, RoundAck, decode_frame, encode_frame
 
 
 def _doc(**kw):
@@ -110,12 +112,39 @@ def prepared(cfg):
 def test_prepare_sites_shared_scaler_envelope(cfg, prepared):
     _, sites = prepared
     dev_stats = [sites[n].pp_local.scaler_stats() for n in cfg.development_sites]
-    gmins, gmaxs = E.shared_scaler(dev_stats)
+    gmins, gmaxs = shared_scaler(dev_stats)
     for n in ("a", "b", "x"):
         m, x = sites[n].pp_fed.scaler_stats()
         assert np.array_equal(m, gmins) and np.array_equal(x, gmaxs)
     # the shared scaler is exactly representable in float32
     assert np.array_equal(gmins, gmins.astype(np.float32).astype(np.float64))
+
+
+def test_federated_training_and_evaluation_share_one_preprocessor(cfg, prepared):
+    """Each site worker trains through the very features ``prepare_sites``
+    scores federated models through: its own fit, rescaled to the range
+    the coordinator builds from what the workers sent."""
+    _, sites = prepared
+
+    def wire(msg):
+        return decode_frame(encode_frame(msg))[0]
+
+    workers = {n: E.site_worker(cfg, n, sites[n].train, sites[n].val, "fedavg")
+               for n in cfg.development_sites}
+    for worker in workers.values():
+        worker.hello()
+    stats = [wire(workers[n].handle(RoundAck(0))) for n in cfg.development_sites]
+    scaler = wire(GlobalScaler(*shared_scaler([(s.mins, s.maxs) for s in stats])))
+    for name, worker in workers.items():
+        assert worker.handle(scaler) is None
+        pp_fed = sites[name].pp_fed
+        for got, part in ((worker._train_fm, sites[name].train),
+                          (worker._val_fm, sites[name].val)):
+            want = pp_fed.transform(part)
+            for field in ("continuous", "binary", "labels", "surgeon"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            for g, w in zip(got.high_card, want.high_card, strict=True):
+                assert g.tobytes() == w.tobytes()
 
 
 def test_central_on_single_site_equals_local(cfg, prepared):

@@ -9,12 +9,11 @@ import pytest
 from fedsurg import cohort as C
 from fedsurg import federation as F
 from fedsurg import model as M
-from fedsurg.preprocess import Preprocessor, chronological_split
+from fedsurg.preprocess import Preprocessor, chronological_split, shared_scaler
 from fedsurg.wire import (ChannelClosed, ClientUpdate, GlobalModel,
                           GlobalScaler, Hello, ProtocolError, RoundAck,
                           ScalerStats, quantize32)
-from fedsurg.experiment import shared_scaler
-from conftest import SMALL_ARCH, random_batch
+from conftest import SMALL_ARCH, federate_traced, random_batch
 
 
 def _params(seed):
@@ -123,10 +122,10 @@ def _scripted(scores):
     return one_round, calls
 
 
-def _run(scores, patience, record_params=False):
+def _run(scores, patience):
     one_round, calls = _scripted(scores)
     cfg = F.TrainConfig(rounds=len(scores), patience=patience)
-    result = F.run_rounds({"w": np.zeros(1)}, cfg, one_round, record_params)
+    result = F.run_rounds({"w": np.zeros(1)}, cfg, one_round)
     return result, calls
 
 
@@ -161,13 +160,6 @@ def test_run_rounds_final_params_are_the_last_next_params():
     assert result.final_params["w"][0] == 3.0
     assert result.best_params["w"][0] == 0.0
     assert result.scaffold is None
-
-
-def test_run_rounds_records_params_only_when_asked():
-    result, _ = _run([0.5, 0.625, 0.75], patience=3)
-    assert result.params_trace == []
-    result, _ = _run([0.5, 0.625, 0.75], patience=3, record_params=True)
-    assert [p["w"][0] for p in result.params_trace] == [1.0, 2.0, 3.0]
 
 
 def test_run_rounds_never_selects_a_nan_score():
@@ -253,24 +245,34 @@ def test_single_client_federated_equals_quantized_sgd():
     train, val = _site("solo")
     workers = {"solo": F.SiteWorker("solo", train, val, SMALL_ARCH, "fedavg",
                                     cfg, surgeon_vocab_size=10)}
-    result = F.run_federation_inprocess(SMALL_ARCH, "fedavg", cfg, workers,
-                                        record_params=True)
+    _, trace = federate_traced(SMALL_ARCH, "fedavg", cfg, workers)
+    assert len(trace) == cfg.rounds
 
     # [DERIVED] oracle: same preprocessing, same RNG stream, same steps
     vocabs = tuple(v for v, _ in SMALL_ARCH.high_card_specs)
     local_pp = Preprocessor(vocabs, 10).fit(train)
-    override = shared_scaler([local_pp.scaler_stats()])
-    pp = Preprocessor(vocabs, 10).fit(train, scaler_override=override)
-    fm = pp.transform(train)
+    fm = local_pp.rescaled(*shared_scaler([local_pp.scaler_stats()])).transform(train)
     params = M.init_params(SMALL_ARCH, cfg.seed)
     for t in range(cfg.rounds):
         xq = quantize32(params)
         rep = M.local_train(xq, SMALL_ARCH, fm, cfg,
                             F.client_rng(cfg.seed, "solo", t))
         params = quantize32(rep.params)
-        diff = max(np.abs(result.params_trace[t][k] - params[k]).max()
-                   for k in params)
+        diff = max(np.abs(trace[t][k] - params[k]).max() for k in params)
         assert diff < 1e-9, f"round {t}: {diff}"
+
+
+def test_scaler_range_of_the_wrong_width_names_the_site():
+    import dataclasses
+    cfg = _cfg(rounds=1)
+    workers = _workers("fedavg", cfg)
+    train, val = _site("short")
+    short = dataclasses.replace(train, continuous=train.continuous[:, :-1])
+    workers["short"] = F.SiteWorker("short", short, val, SMALL_ARCH, "fedavg",
+                                    cfg, surgeon_vocab_size=10)
+    with pytest.raises(F.FederationError, match="'short'.* 4 mins") as err:
+        F.run_federation_inprocess(SMALL_ARCH, "fedavg", cfg, workers)
+    assert not isinstance(err.value, F.ClientFailure)
 
 
 def test_handshake_rejects_unknown_client():

@@ -59,8 +59,6 @@ def test_split_rejects_tiny_cohorts():
         P.chronological_split(c.take([0]))
     with pytest.raises(P.SplitError):
         P.chronological_split(c.take([]))
-    with pytest.raises(ValueError):
-        P.SplitSpec((0.5, 0.2, 0.2))
 
 
 def test_fit_percentile_and_median_oracle(cohort):
@@ -124,30 +122,47 @@ def test_unfitted_preprocessor_raises(cohort):
         pp.fit(cohort.take([]))
 
 
-def test_scaler_override_changes_scaling_only(cohort):
+def test_rescaled_changes_scaling_only(cohort):
     pp1 = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort)
     mins, maxs = pp1.scaler_stats()
-    wider = (mins - 1.0, maxs + 1.0)
-    pp2 = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort, scaler_override=wider)
+    before = pp1.to_json()
+    pp2 = pp1.rescaled(mins - 1.0, maxs + 1.0)
+    assert pp1.to_json() == before  # the fit itself is unchanged
     m2, x2 = pp2.scaler_stats()
-    assert np.allclose(m2, mins - 1.0) and np.allclose(x2, maxs + 1.0)
-    for s1, s2 in zip(pp1.cont_stats, pp2.cont_stats):
-        assert s1.clip_low == s2.clip_low and s1.median == s2.median
+    assert np.array_equal(m2, mins - 1.0) and np.array_equal(x2, maxs + 1.0)
+    for s1, s2 in zip(pp1.cont_stats, pp2.cont_stats, strict=True):
+        assert (s1.clip_low, s1.clip_high, s1.median) == (
+            s2.clip_low, s2.clip_high, s2.median)
+    assert (pp2.cat_seen, pp2.surgeon_seen) == (pp1.cat_seen, pp1.surgeon_seen)
     fm1 = pp1.transform(cohort)
     fm2 = pp2.transform(cohort)
     assert not np.allclose(fm1.continuous, fm2.continuous)
 
 
-def test_merge_scaler_stats_oracle():
+def test_rescaled_rejects_a_range_of_the_wrong_width(cohort):
+    pp = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort)
+    mins, maxs = pp.scaler_stats()
+    for bad in ((mins[:-1], maxs), (mins, maxs[:-1]),
+                (np.append(mins, 0.0), np.append(maxs, 1.0))):
+        with pytest.raises(P.FitError, match="6 continuous features"):
+            pp.rescaled(*bad)
+    with pytest.raises(P.FitError, match="not fitted"):
+        P.Preprocessor(SPEC.hc_vocab_sizes).rescaled(mins, maxs)
+
+
+def test_shared_scaler_envelope_oracle():
     a = (np.array([0.0, -1.0]), np.array([1.0, 2.0]))
-    b = (np.array([-0.5, 0.0]), np.array([0.5, 3.0]))
-    mins, maxs = P.merge_scaler_stats([a, b])
+    b = (np.array([-0.5, 0.1]), np.array([0.5, 3.0]))
+    mins, maxs = P.shared_scaler([a, b])
     assert np.array_equal(mins, [-0.5, -1.0])
     assert np.array_equal(maxs, [1.0, 3.0])
+    # each site's range is rounded to float32 before the envelope
+    mins, maxs = P.shared_scaler([b])
+    assert mins[1] == float(np.float32(0.1)) != 0.1
     with pytest.raises(ValueError):
-        P.merge_scaler_stats([a, (np.zeros(3), np.ones(3))])
+        P.shared_scaler([a, (np.zeros(3), np.ones(3))])
     with pytest.raises(ValueError):
-        P.merge_scaler_stats([])
+        P.shared_scaler([])
 
 
 def test_shared_scaler_equals_pooled_minmax():
@@ -157,7 +172,7 @@ def test_shared_scaler_equals_pooled_minmax():
     a, b = _cohort(seed=5), _cohort(n_patients=500, seed=5, site_name="siteQ")
     ppa = P.Preprocessor(SPEC.hc_vocab_sizes).fit(a)
     ppb = P.Preprocessor(SPEC.hc_vocab_sizes).fit(b)
-    mins, maxs = P.merge_scaler_stats([ppa.scaler_stats(), ppb.scaler_stats()])
+    mins, maxs = P.shared_scaler([ppa.scaler_stats(), ppb.scaler_stats()])
     # oracle: clipped columns pooled, then min/max
     for i in range(SPEC.n_continuous):
         cols = []
@@ -167,8 +182,9 @@ def test_shared_scaler_equals_pooled_minmax():
             s = pp.cont_stats[i]
             cols.append(np.clip(col, s.clip_low, s.clip_high))
         pooled = np.concatenate(cols)
-        assert mins[i] == pytest.approx(pooled.min(), abs=1e-12)
-        assert maxs[i] == pytest.approx(pooled.max(), abs=1e-12)
+        # float32 rounding is monotone, so it commutes with min and max
+        assert mins[i] == np.float32(pooled.min())
+        assert maxs[i] == np.float32(pooled.max())
 
 
 def test_json_roundtrip(cohort):
@@ -274,8 +290,9 @@ def _bits(values) -> bytes:
 
 def _assert_matches_oracles(train, others, hc_vocab_sizes, surgeon_vocab_size,
                             hard_bounds=None, override=None):
-    pp = P.Preprocessor(hc_vocab_sizes, surgeon_vocab_size, hard_bounds).fit(
-        train, scaler_override=override)
+    pp = P.Preprocessor(hc_vocab_sizes, surgeon_vocab_size, hard_bounds).fit(train)
+    if override is not None:
+        pp = pp.rescaled(*override)
     stats, cat_seen, surgeon_seen = _fit_oracle(train, hc_vocab_sizes,
                                                 hard_bounds, override)
     assert _bits([list(vars(s).values()) for s in pp.cont_stats]) == _bits(stats)
