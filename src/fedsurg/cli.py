@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
-from .federation import coordinate
+from .federation import FederationError, coordinate
 from .model import load_checkpoint, save_checkpoint, predict
 from .preprocess import Preprocessor, chronological_split
 from .wire import connect_socket, serve_sockets
@@ -224,6 +224,9 @@ def cmd_serve_coordinator(cfg: exp.ExperimentConfig, args) -> int:
         result = coordinate(cfg.arch, args.algo,
                             exp.federated_train_config(cfg, args.algo),
                             channels, expected)
+    except FederationError as exc:
+        # one line on stderr and exit code 1; no checkpoint is written
+        raise SystemExit(f"federated run failed: {exc}") from exc
     finally:
         for chan in channels:
             chan.close()

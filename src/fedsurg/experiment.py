@@ -399,18 +399,30 @@ def write_history_csv(path, history: list[RoundRecord]) -> None:
                             + [repr(rec.train_loss[c]) for c in clients])
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default dialect: quoted, with
+    its quotes doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_scores_csv(path, encounter_ids, probs: np.ndarray,
                      labels: np.ndarray) -> None:
-    """One row per encounter: its id, the scores as ``repr`` of Python
-    floats (which the csv writer prints for a float) and integer labels."""
-    columns = (np.asarray(probs, dtype=np.float64).T.tolist()
-               + np.asarray(labels).astype(np.int64).T.tolist())
+    """One row per encounter: its id, ``repr`` of each score as a Python
+    float and ``str`` of each integer label, the text ``csv.writer`` writes
+    for them with ``\\r\\n`` line ends. Formatted a column at a time and
+    written in one call."""
+    fields = ([list(map(repr, c))
+               for c in np.asarray(probs, dtype=np.float64).T.tolist()]
+              + [list(map(str, c))
+                 for c in np.asarray(labels).astype(np.int64).T.tolist()])
+    header = ",".join(["encounter_id"]
+                      + [f"score_{o}" for o in OUTCOME_NAMES]
+                      + [f"label_{o}" for o in OUTCOME_NAMES])
+    rows = map(",".join, zip(map(_csv_field, encounter_ids), *fields))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["encounter_id"]
-                        + [f"score_{o}" for o in OUTCOME_NAMES]
-                        + [f"label_{o}" for o in OUTCOME_NAMES])
-        writer.writerows(zip(encounter_ids, *columns))
+        fh.write("\r\n".join([header, *rows, ""]))
 
 
 def read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -251,6 +251,14 @@ def _receive(chan, cid: str, want: type, round_: int | None = None):
     return msg
 
 
+def _require_finite(cid: str, what: str, arrays) -> None:
+    """FederationError naming site ``cid`` when any of ``arrays`` holds a
+    NaN or an infinity, which would reach every site through the shared
+    scaler or the aggregate."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FederationError(f"client {cid!r} sent {what} that are not finite")
+
+
 def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
                expected: list[str]) -> TrainResult:
     """Server side of one federated training run: handshake, the shared
@@ -266,6 +274,10 @@ def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
             raise FederationError(
                 f"client {cid!r} sent a scaler range of {len(s.mins)} mins and "
                 f"{len(s.maxs)} maxs for {arch.n_continuous} continuous features")
+        _require_finite(cid, "scaler bounds", (s.mins, s.maxs))
+        if (s.mins > s.maxs).any():
+            raise FederationError(
+                f"client {cid!r} sent a scaler range with a min above its max")
     gmins, gmaxs = shared_scaler([(s.mins, s.maxs) for s in stats])
     for cid in expected:
         by_id[cid].send(GlobalScaler(gmins, gmaxs))
@@ -280,6 +292,10 @@ def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
             by_id[cid].send(GlobalModel(t, params, control))
         updates = [_receive(by_id[cid], cid, ClientUpdate, t)
                    for cid in expected]
+        for cid, u in zip(expected, updates):
+            _require_finite(cid, f"round {t} parameters",
+                            [*u.params.values(),
+                             *(u.control_delta or {}).values()])
         val = np.mean([u.val_auroc for u in updates], axis=0)
         losses = {u.client_id: float(u.train_loss) for u in updates}
         if scaffold:

@@ -20,6 +20,13 @@ sample's tie blocks: exact integer rank sums for AUROC, and for average
 precision the same per-block terms, in the same order, as scoring the
 resample itself. Its intervals are bit-identical to resampling and
 re-sorting.
+
+Three shortcuts cut fixed costs per call and keep every bit:
+``_percentiles`` writes numpy's linear percentile out over the sorted
+values (numpy still takes a list with a NaN); each resample's RNG is
+seeded from a uint32 array of (seed, index), the words
+``default_rng([seed, index])`` derives below 2**32; and the Youden scan
+of ``pick_threshold`` visits only the strict running maxima of J.
 """
 
 from __future__ import annotations
@@ -122,9 +129,20 @@ def pick_threshold(scores, labels) -> float:
     neg = np.bincount(inverse[~y & scored], minlength=len(thresholds))
     tp = np.cumsum(pos[::-1])[::-1]         # positives with s >= t
     fp = np.cumsum(neg[::-1])[::-1]
-    j = tp / n_pos + (n_neg - fp) / n_neg - 1.0
+    return _first_best(thresholds, tp / n_pos + (n_neg - fp) / n_neg - 1.0)
+
+
+def _first_best(thresholds: np.ndarray, j: np.ndarray) -> float | None:
+    """The threshold a left-to-right scan keeps when it moves only to a J
+    more than 1e-15 above the J it holds (``j`` holds no NaN).
+
+    A J no larger than some J before it is at most the held J + 1e-15 by
+    then, so the scan visits only the strict running maxima of ``j``.
+    """
+    peak = np.maximum.accumulate(j)
+    rising = np.flatnonzero(np.concatenate(([True], peak[1:] > peak[:-1])))
     best_t, best_j = None, -np.inf
-    for t, jt in zip(thresholds.tolist(), j.tolist()):
+    for t, jt in zip(thresholds[rising].tolist(), j[rising].tolist()):
         if jt > best_j + 1e-15:
             best_t, best_j = t, jt
     return best_t
@@ -210,6 +228,45 @@ def _scored_by_counts(by_counts, needs_negative: bool, s, y):
     return usable, score
 
 
+def _percentiles(values: list[float], qs: list[float]) -> list[float]:
+    """``np.percentile(values, qs)`` (linear method) as Python floats.
+
+    Without NaN values or a percentile outside [0, 100], numpy's index,
+    weight and two-sided interpolation (its ``_lerp``) are written out over
+    the sorted list, the same IEEE operations in the same order, so each
+    bit agrees; numpy's fixed cost per call is what this saves. A zero's
+    sign can differ when the values hold both 0.0 and -0.0, which numpy's
+    partition leaves in no set order.
+    """
+    if any(map(math.isnan, values)) or not all(0 <= q <= 100 for q in qs):
+        return np.percentile(values, qs).tolist()
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        virtual = last * (q / 100)
+        lo = math.floor(virtual)
+        if virtual >= last:
+            # numpy's index past the end: the last value at both ends,
+            # weighted by the virtual index less the index -1
+            lo, t = last, virtual + 1
+        else:
+            t = virtual - lo
+        a, b = ordered[lo], ordered[min(lo + 1, last)]
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
+
+
+def _resample_rng(seed: int, i: int) -> np.random.Generator:
+    """``default_rng([seed, i])``. Below 2**32 each int is one seed word, so
+    a uint32 array gives the same stream without converting the list (a
+    resample index ``i`` is always below 2**32)."""
+    if 0 <= seed < 1 << 32:
+        return np.random.default_rng(np.array((seed, i), dtype=np.uint32))
+    return np.random.default_rng([seed, i])
+
+
 def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05,
                  seed: int = 0) -> BootstrapResult:
     """Percentile bootstrap over paired (score, label) resamples.
@@ -237,7 +294,7 @@ def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05
     values, batch = [], []
     skipped = 0
     for i in range(n_boot):
-        rng = np.random.default_rng([seed, i])
+        rng = _resample_rng(seed, i)
         for _ in range(10):
             kept = usable(rng.integers(0, n, size=n))
             if kept is not None:
@@ -252,8 +309,8 @@ def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05
     if not values:
         # n_boot == 0, or no resample was usable: no interval to report
         return BootstrapResult(point, math.nan, math.nan, skipped)
-    lo, hi = np.percentile(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return BootstrapResult(point, float(lo), float(hi), skipped)
+    lo, hi = _percentiles(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    return BootstrapResult(point, lo, hi, skipped)
 
 
 def _u_statistic(ranks_a: np.ndarray, n_a: int) -> float:

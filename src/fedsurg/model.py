@@ -122,24 +122,6 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     return params
 
 
-def flatten_params(params: ModelParams) -> np.ndarray:
-    return np.concatenate([params[k].ravel() for k in params])
-
-
-def unflatten_params(flat: np.ndarray, arch: ArchConfig) -> ModelParams:
-    shapes = param_shapes(arch)
-    expected = sum(int(np.prod(s)) for s in shapes.values())
-    if flat.size != expected:
-        raise ValueError(f"flat vector has {flat.size} values, layout needs {expected}")
-    out: ModelParams = {}
-    pos = 0
-    for name, shape in shapes.items():
-        size = int(np.prod(shape))
-        out[name] = flat[pos:pos + size].reshape(shape).copy()
-        pos += size
-    return out
-
-
 def _build_leaves(tape: ad.Tape, params: ModelParams, trainable: bool) -> dict[str, ad.Node]:
     return {k: tape.leaf(v, name=k, trainable=trainable) for k, v in params.items()}
 
@@ -289,12 +271,6 @@ class TrainStepReport:
     n_samples: int
     steps_taken: int
     mean_loss: float
-
-
-def loss_on(params: ModelParams, arch: ArchConfig, data: Batch) -> float:
-    tape = ad.Tape()
-    probs = forward(params, arch, data, tape=tape)
-    return float(multitask_loss(tape, probs, data.labels).value)
 
 
 def local_train(params: ModelParams, arch: ArchConfig, data: Batch, cfg,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import fedsurg.autodiff as ad
 from fedsurg import federation as F
-from fedsurg.model import ArchConfig, Batch
+from fedsurg.model import (ArchConfig, Batch, ModelParams, forward,
+                           multitask_loss, param_shapes)
 from fedsurg.wire import GlobalModel
 
 
@@ -36,6 +38,30 @@ def random_batch(arch: ArchConfig, n: int, seed: int,
 @pytest.fixture
 def batch_factory():
     return random_batch
+
+
+def flatten_params(params: ModelParams) -> np.ndarray:
+    return np.concatenate([params[k].ravel() for k in params])
+
+
+def unflatten_params(flat: np.ndarray, arch: ArchConfig) -> ModelParams:
+    shapes = param_shapes(arch)
+    expected = sum(int(np.prod(s)) for s in shapes.values())
+    if flat.size != expected:
+        raise ValueError(f"flat vector has {flat.size} values, layout needs {expected}")
+    out: ModelParams = {}
+    pos = 0
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        out[name] = flat[pos:pos + size].reshape(shape).copy()
+        pos += size
+    return out
+
+
+def loss_on(params: ModelParams, arch: ArchConfig, data: Batch) -> float:
+    tape = ad.Tape()
+    probs = forward(params, arch, data, tape=tape)
+    return float(multitask_loss(tape, probs, data.labels).value)
 
 
 class RecordingChannel(F.LoopbackChannel):

@@ -24,7 +24,7 @@ from fedsurg import model as M
 from fedsurg import personalize as PZ
 from fedsurg import wire as W
 from fedsurg.preprocess import Preprocessor, chronological_split, shared_scaler
-from conftest import SMALL_ARCH, federate_traced, random_batch
+from conftest import SMALL_ARCH, federate_traced, loss_on, random_batch
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "configs" / "acceptance.yaml"
@@ -68,7 +68,7 @@ def test_criterion_1_gradient_check():
                     vals = []
                     for sign in (+1, -1):
                         arr[mi] = orig + sign * h
-                        vals.append(M.loss_on(params, SMALL_ARCH, batch))
+                        vals.append(loss_on(params, SMALL_ARCH, batch))
                     arr[mi] = orig
                     fd[mi] = (vals[0] - vals[1]) / (2 * h)
                 denom = max(np.linalg.norm(fd), 1e-10)

@@ -254,3 +254,26 @@ def test_serve_site_reads_only_its_own_cohort(tmp_path, monkeypatch):
                      "--site", "a"]) == 0
     assert [type(m) for m in channel.sent] == [Hello]
     assert channel.sent[0].client_id == "a"
+
+
+def test_serve_coordinator_failure_is_one_line_and_no_checkpoint(tmp_path,
+                                                                 monkeypatch):
+    from fedsurg.federation import FederationError
+    cfg_path, out = _config(tmp_path)
+    channel = _ShutdownChannel()
+    closed = []
+    channel.close = lambda: closed.append(True)
+    monkeypatch.setattr(cli, "serve_sockets",
+                        lambda host, port, n: ([channel], port))
+
+    def failing(*args):
+        raise FederationError("client 'b' sent scaler bounds that are not finite")
+    monkeypatch.setattr(cli, "coordinate", failing)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["serve-coordinator", "--config", str(cfg_path)])
+    # SystemExit prints its message as the only line on stderr
+    assert info.value.code == ("federated run failed: client 'b' sent scaler "
+                               "bounds that are not finite")
+    assert closed == [True]
+    assert not list((out / "checkpoints").iterdir())
+    assert not list((out / "history").iterdir())

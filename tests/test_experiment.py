@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsurg import experiment as E
 from fedsurg import model as M
@@ -235,6 +236,38 @@ def test_scores_csv_bytes_equal_row_by_row_writer(tmp_path):
         bulk = (tmp_path / "bulk.csv").read_bytes()
         assert bulk == (tmp_path / "rows.csv").read_bytes()
     assert b"\r\np0-e0,1e-05," in bulk
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",)))
+                | st.sampled_from(['a,b', 'say "hi"', '"', ',', 'cr\rlf\n',
+                                   '\n', ' lead', '']),
+                min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_scores_csv_bytes_equal_csv_writer(tmp_path_factory, ids, seed):
+    """Any id, quoted or not as csv.writer quotes it, and any score,
+    NaN and infinities included."""
+    rng = np.random.default_rng(seed)
+    n = len(ids)
+    probs = rng.choice([0.0, 1.0, 1e-300, 0.1 + 0.2, np.nan, np.inf, -np.inf,
+                        rng.uniform()], size=(n, 4))
+    labels = rng.integers(0, 2, (n, 4))
+    tmp = tmp_path_factory.mktemp("scores")
+    E.write_scores_csv(tmp / "bulk.csv", ids, probs, labels)
+    _write_scores_by_row(tmp / "rows.csv", ids, probs, labels)
+    assert (tmp / "bulk.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
+
+
+def test_scores_csv_quotes_ids_as_csv_writer_does(tmp_path):
+    ids = ["si,te-e1", 'q"uote-e2', "line\nbreak-e3", "plain-e4"]
+    probs, labels = np.full((4, 4), 0.5), np.ones((4, 4))
+    E.write_scores_csv(tmp_path / "s.csv", ids, probs, labels)
+    text = (tmp_path / "s.csv").read_bytes()
+    assert b'\r\n"si,te-e1",0.5,' in text
+    assert b'\r\n"q""uote-e2",0.5,' in text
+    assert b'\r\n"line\nbreak-e3",0.5,' in text
+    assert b"\r\nplain-e4,0.5," in text
+    assert E.read_scores_csv(tmp_path / "s.csv")[0] == ids
 
 
 def test_evaluate_scores_cells(cfg):

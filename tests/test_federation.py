@@ -275,6 +275,82 @@ def test_scaler_range_of_the_wrong_width_names_the_site():
     assert not isinstance(err.value, F.ClientFailure)
 
 
+class _Tampering(F.LoopbackChannel):
+    """A loopback link whose site's replies of one type are changed by
+    ``tamper`` before the coordinator reads them."""
+
+    def __init__(self, worker, kind, tamper):
+        super().__init__(worker)
+        self.kind, self.tamper = kind, tamper
+
+    def recv(self):
+        msg = super().recv()
+        if isinstance(msg, self.kind):
+            self.tamper(msg)
+        return msg
+
+
+def _set_first(name, value):
+    def tamper(msg):
+        getattr(msg, name)[0] = value
+    return tamper
+
+
+@pytest.mark.parametrize("field, value", [("mins", np.nan), ("maxs", np.inf),
+                                          ("mins", -np.inf)])
+def test_non_finite_scaler_range_names_the_site(field, value):
+    cfg = _cfg(rounds=2)
+    workers = _workers("fedavg", cfg)
+    channels = [F.LoopbackChannel(workers["a"]),
+                _Tampering(workers["b"], ScalerStats, _set_first(field, value))]
+    with pytest.raises(F.FederationError,
+                       match="'b' sent scaler bounds that are not finite"):
+        F.coordinate(SMALL_ARCH, "fedavg", cfg, channels, ["a", "b"])
+    # no site got a GlobalScaler, so none trained
+    assert workers["a"]._expect is GlobalScaler
+
+
+def test_scaler_range_with_min_above_max_names_the_site():
+    cfg = _cfg(rounds=2)
+    workers = _workers("fedavg", cfg)
+
+    def swap(msg):
+        msg.mins[0], msg.maxs[0] = msg.maxs[0] + 1.0, msg.mins[0]
+    channels = [_Tampering(workers["a"], ScalerStats, swap),
+                F.LoopbackChannel(workers["b"])]
+    with pytest.raises(F.FederationError, match="'a' sent a scaler range with "
+                                                "a min above its max"):
+        F.coordinate(SMALL_ARCH, "fedavg", cfg, channels, ["a", "b"])
+
+
+@pytest.mark.parametrize("algo", ["fedavg", "scaffold"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_client_update_names_the_site(algo, value):
+    cfg = _cfg(rounds=2)
+    workers = _workers(algo, cfg)
+
+    def poison(msg):
+        next(iter(msg.params.values())).flat[0] = value
+    channels = [F.LoopbackChannel(workers["a"]),
+                _Tampering(workers["b"], ClientUpdate, poison)]
+    with pytest.raises(F.FederationError,
+                       match="'b' sent round 0 parameters that are not finite"):
+        F.coordinate(SMALL_ARCH, algo, cfg, channels, ["a", "b"])
+
+
+def test_non_finite_control_delta_names_the_site():
+    cfg = _cfg(rounds=2)
+    workers = _workers("scaffold", cfg)
+
+    def poison(msg):
+        next(iter(msg.control_delta.values())).flat[0] = np.nan
+    channels = [_Tampering(workers["a"], ClientUpdate, poison),
+                F.LoopbackChannel(workers["b"])]
+    with pytest.raises(F.FederationError,
+                       match="'a' sent round 0 parameters that are not finite"):
+        F.coordinate(SMALL_ARCH, "scaffold", cfg, channels, ["a", "b"])
+
+
 def test_handshake_rejects_unknown_client():
     cfg = _cfg(rounds=1)
     workers = _workers("fedavg", cfg, names=("a", "intruder"))

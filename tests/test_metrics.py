@@ -510,3 +510,143 @@ def test_evaluate_scores_without_usable_resamples(monkeypatch):
             assert np.isnan(r.ci_low) and np.isnan(r.ci_high)
             assert r.n_skipped == 5
         assert c.threshold is not None
+
+
+# --- fixed-cost shortcuts against the code they replaced ------------------
+#
+# Each oracle below is the code a shortcut replaced; the shortcut must give
+# the same bits on every input.
+
+def _first_best_loop(thresholds, j):
+    best_t, best_j = None, -np.inf
+    for t, jt in zip(thresholds.tolist(), j.tolist()):
+        if jt > best_j + 1e-15:
+            best_t, best_j = t, jt
+    return best_t
+
+
+@st.composite
+def _near_tied_j(draw):
+    """J vectors whose values sit on a few levels, each level spread over
+    steps of about 2.2e-16, so runs of values within 1e-15 of each other
+    (and chains of such steps longer than 1e-15) are common."""
+    n = draw(st.integers(1, 60))
+    levels = draw(st.lists(st.sampled_from([-1.0, -0.25, 0.0, 1 / 3, 0.5, 0.75]),
+                           min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    j = np.array(levels) + np.array(steps) * 2.2e-16
+    return np.arange(n) / 8.0, j
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_near_tied_j())
+def test_threshold_scan_over_running_maxima_equals_full_scan(sample):
+    thresholds, j = sample
+    assert _bits(metrics._first_best(thresholds, j)) == _bits(
+        _first_best_loop(thresholds, j))
+
+
+def test_threshold_scan_keeps_the_first_of_a_chain_of_near_ties():
+    # each step is under 1e-15, their sum is not: the scan moves at 1.2e-15
+    j = np.array([0.0, 0.6e-15, 1.2e-15, 1.8e-15, 1.7e-15])
+    assert metrics._first_best(np.arange(5.0), j) == 2.0
+    assert _first_best_loop(np.arange(5.0), j) == 2.0
+    # a later J above the first by less than 1e-15 does not move it
+    assert metrics._first_best(np.arange(3.0), np.array([0.5, 0.5 + 9e-16, 0.1])) == 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(2, 80), st.integers(0, 2**32 - 1),
+       st.sampled_from([3, 6, 12, 1000]))
+def test_pick_threshold_equals_full_scan(n, seed, grid):
+    # few positives and negatives with common factors make J values that
+    # are equal in exact arithmetic but differ in their last bits
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.uniform(0, 1, n) * grid) / grid
+    labels = rng.uniform(0, 1, n) < rng.uniform(0.1, 0.9)
+    labels[:2] = [True, False]
+    assert _bits(metrics.pick_threshold(scores, labels)) == _bits(
+        _pick_threshold_scan(scores, labels))
+
+
+_EDGE_PERCENTILES = [0.0, 2.5, 25.0, 50.0, 75.0, 97.5, 100.0]
+
+
+@st.composite
+def _percentile_inputs(draw):
+    """Value lists with ties, infinities and now and then a NaN (the
+    shortcut then hands them to numpy), and percentiles in [0, 100]."""
+    value = (st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf, -np.inf])
+             | st.floats(allow_nan=False))
+    # 0.0 + v turns -0.0 into 0.0: numpy orders 0.0 and -0.0 arbitrarily
+    values = [0.0 + v for v in draw(st.lists(value, min_size=1, max_size=59))]
+    if draw(st.integers(0, 9)) == 0:
+        values.insert(draw(st.integers(0, len(values))), math.nan)
+    qs = draw(st.lists(st.sampled_from(_EDGE_PERCENTILES) | st.floats(0, 100),
+                       min_size=1, max_size=4))
+    return values, qs
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(_percentile_inputs())
+def test_percentiles_equal_numpy_bitwise(sample):
+    values, qs = sample
+    assert _bits(metrics._percentiles(values, qs)) == _bits(
+        np.percentile(values, qs))
+
+
+def test_percentiles_on_small_samples_and_any_alpha():
+    for values in ([0.7], [0.2, 0.2], [0.1, 0.9], [0.3, 0.1, 0.3, 0.2],
+                   [1.0, 1.0, 0.5, np.inf], [np.nan, 0.5], [-np.inf, 0.5, np.inf],
+                   # one zero, or all zeros of one sign, leave no order to
+                   # choose; numpy's index past the end keeps a lone -0.0
+                   [-0.0], [-0.0, -0.0, -0.0], [np.inf]):
+        for alpha in (0.0, 1e-17, 0.05, 0.1, 0.5, 0.9, 1.0):
+            qs = [100 * alpha / 2, 100 * (1 - alpha / 2)]
+            assert _bits(metrics._percentiles(values, qs)) == _bits(
+                np.percentile(values, qs))
+    for bad in ([-1.0], [100.5], [np.nan]):
+        with pytest.raises(ValueError):
+            np.percentile([0.5, 0.6], bad)
+        with pytest.raises(ValueError):
+            metrics._percentiles([0.5, 0.6], bad)
+
+
+def _rng_bits(rng):
+    return rng.bit_generator.state["state"], rng.integers(0, 2**62, 4).tolist()
+
+
+_SEED_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 123456789, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+@pytest.mark.parametrize("i", [0, 1, 9, 999, 2**32 - 1])
+def test_resample_rng_equals_the_list_seed(seed, i):
+    assert _rng_bits(metrics._resample_rng(seed, i)) == _rng_bits(
+        np.random.default_rng([seed, i]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2**70), st.integers(0, 2**32 - 1))
+def test_resample_rng_equals_the_list_seed_anywhere(seed, i):
+    assert _rng_bits(metrics._resample_rng(seed, i)) == _rng_bits(
+        np.random.default_rng([seed, i]))
+
+
+def test_bootstrap_with_cell_seed_at_two_to_the_32():
+    """``evaluate_scores`` seeds AUPRC with its cell seed + 1, which is 2**32
+    when the cell seed is 2**32 - 1: that seed is two words, not one."""
+    rng = np.random.default_rng(30)
+    probs = rng.uniform(0, 1, (60, 4))
+    labels = (rng.uniform(0, 1, (60, 4)) < probs).astype(float)
+    # zlib.crc32(...) ^ seed is the cell seed of the first outcome
+    import zlib
+    crc = zlib.crc32(b"m|s|icu")
+    seed = crc ^ (2**32 - 1)
+    cell = experiment.evaluate_scores("m", "s", probs, labels, None, None,
+                                      n_boot=12, seed=seed)[0]
+    for r, metric, cell_seed in ((cell.auroc, metrics.auroc, 2**32 - 1),
+                                 (cell.auprc, metrics.auprc, 2**32)):
+        want = _bootstrap_loop(probs[:, 0], labels[:, 0], metric, 12, cell_seed)
+        assert _bits([r.point, r.ci_low, r.ci_high]) == _bits(want[:3])
+        assert r.n_skipped == want[3]

@@ -11,7 +11,7 @@ from scipy.special import expit
 
 from fedsurg import model as M
 from fedsurg.federation import TrainConfig
-from conftest import random_batch
+from conftest import flatten_params, loss_on, random_batch, unflatten_params
 
 
 def _numpy_forward(params, arch, batch):
@@ -73,13 +73,13 @@ def test_init_params_deterministic(small_arch):
 
 def test_flatten_unflatten_roundtrip(small_arch):
     params = M.init_params(small_arch, 7)
-    flat = M.flatten_params(params)
-    back = M.unflatten_params(flat, small_arch)
+    flat = flatten_params(params)
+    back = unflatten_params(flat, small_arch)
     assert list(back) == list(params)
     for k in params:
         assert np.array_equal(back[k], params[k])
     with pytest.raises(ValueError):
-        M.unflatten_params(flat[:-1], small_arch)
+        unflatten_params(flat[:-1], small_arch)
 
 
 def test_arch_fingerprint_sensitivity(small_arch):
@@ -145,7 +145,7 @@ def test_checkpoint_name_that_is_not_utf8_is_a_format_error(tmp_path, small_arch
 def test_multitask_loss_equals_elementwise_bce(small_arch):
     params = M.init_params(small_arch, 4)
     batch = random_batch(small_arch, 11, 5)
-    loss = M.loss_on(params, small_arch, batch)
+    loss = loss_on(params, small_arch, batch)
     p = M.predict(params, small_arch, batch)
     y = batch.labels
     want = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
@@ -161,12 +161,12 @@ def _cfg(**kw):
 def test_local_train_reduces_loss(small_arch):
     params = M.init_params(small_arch, 0)
     data = random_batch(small_arch, 64, 1)
-    before = M.loss_on(params, small_arch, data)
+    before = loss_on(params, small_arch, data)
     rng = np.random.default_rng(0)
     rep = M.local_train(params, small_arch, data, _cfg(local_epochs=5), rng)
     assert rep.steps_taken == 5 * 8
     assert rep.n_samples == 64
-    assert M.loss_on(rep.params, small_arch, data) < before
+    assert loss_on(rep.params, small_arch, data) < before
 
 
 def test_local_train_prox_mu_zero_is_bitwise_identity(small_arch):
@@ -186,8 +186,8 @@ def test_local_train_prox_pulls_toward_anchor(small_arch):
                          np.random.default_rng(3))
     tight = M.local_train(params, small_arch, data, _cfg(local_epochs=3),
                           np.random.default_rng(3), prox=(5.0, params))
-    d_free = np.linalg.norm(M.flatten_params(free.params) - M.flatten_params(params))
-    d_tight = np.linalg.norm(M.flatten_params(tight.params) - M.flatten_params(params))
+    d_free = np.linalg.norm(flatten_params(free.params) - flatten_params(params))
+    d_tight = np.linalg.norm(flatten_params(tight.params) - flatten_params(params))
     assert d_tight < d_free
 
 
