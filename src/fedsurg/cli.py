@@ -19,14 +19,14 @@ from pathlib import Path
 
 from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
-from .federation import FederationError, coordinate
+from .federation import ALGORITHMS, FederationError, coordinate
 from .model import load_checkpoint, save_checkpoint, predict
-from .preprocess import Preprocessor, chronological_split
+from .preprocess import FitError, Preprocessor
 from .wire import connect_socket, serve_sockets
 
 log = logging.getLogger("fedsurg")
 
-MODEL_NAMES = ("central", "fedavg", "fedprox", "scaffold")
+MODEL_NAMES = ("central", *ALGORITHMS)
 
 
 def _out(cfg: exp.ExperimentConfig) -> Path:
@@ -115,19 +115,27 @@ def _model_checkpoints(cfg: exp.ExperimentConfig, out: Path):
     return found
 
 
-def _central_preprocessor(out: Path) -> Preprocessor:
+def _central_preprocessor(cfg: exp.ExperimentConfig, out: Path) -> Preprocessor:
     path = out / "checkpoints" / "central_preprocessor.json"
     if not path.exists():
         raise SystemExit(f"missing {path}, which the central checkpoint is "
                          "scored through; run `fedsurg train` again")
-    return Preprocessor.from_json(path.read_text())
+    try:
+        pp = Preprocessor.from_json(path.read_text())
+        if (pp.hc_vocab_sizes != tuple(cfg.features.hc_vocab_sizes)
+                or len(pp.continuous["median"]) != cfg.features.n_continuous):
+            raise FitError("fitted for other features than the config's")
+    except FitError as exc:
+        raise SystemExit(f"unusable {path}: {exc}; run `fedsurg train` again"
+                         ) from exc
+    return pp
 
 
 def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     out = _out(cfg)
     sites = exp.prepare_sites(cfg, _load_cohorts(cfg, out))
     checkpoints = _model_checkpoints(cfg, out)
-    central_pp = (_central_preprocessor(out) if "central" in checkpoints
+    central_pp = (_central_preprocessor(cfg, out) if "central" in checkpoints
                   else None)
     cells = {}
     for site_name, sd in sorted(sites.items()):
@@ -239,9 +247,9 @@ def cmd_serve_coordinator(cfg: exp.ExperimentConfig, args) -> int:
 def cmd_serve_site(cfg: exp.ExperimentConfig, args) -> int:
     if args.site not in cfg.development_sites:
         raise SystemExit(f"{args.site!r} is not a development site")
-    # a site reads only its own cohort
-    train, val, _test = chronological_split(_load_cohort(_out(cfg), args.site))
-    worker = exp.site_worker(cfg, args.site, train, val, args.algo)
+    # a site reads only its own cohort, and fits it as `train` does
+    sd = exp.site_data(cfg, args.site, _load_cohort(_out(cfg), args.site))
+    worker = exp.site_worker(cfg, sd, args.algo)
     channel = connect_socket(cfg.host, cfg.port)
     try:
         worker.run(channel)
@@ -269,18 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train", cmd_train, "train models under one or all paradigms")
     p.add_argument("--paradigm", default="all",
                    choices=("local", "central", "federated", "all"))
-    p.add_argument("--algo", default="all",
-                   choices=("fedavg", "fedprox", "scaffold", "all"))
+    p.add_argument("--algo", default="all", choices=(*ALGORITHMS, "all"))
     add("evaluate", cmd_evaluate, "score checkpoints on every site's test split")
     add("compare", cmd_compare, "paradigm deltas from the evaluation report")
     p = add("serve-coordinator", cmd_serve_coordinator,
             "run the federation server over TCP")
-    p.add_argument("--algo", default="fedavg",
-                   choices=("fedavg", "fedprox", "scaffold"))
+    p.add_argument("--algo", default="fedavg", choices=ALGORITHMS)
     p = add("serve-site", cmd_serve_site, "run one site worker over TCP")
     p.add_argument("--site", required=True)
-    p.add_argument("--algo", default="fedavg",
-                   choices=("fedavg", "fedprox", "scaffold"))
+    p.add_argument("--algo", default="fedavg", choices=ALGORITHMS)
     return parser
 
 

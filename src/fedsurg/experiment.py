@@ -161,7 +161,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             kw.update((prefix + k, v) for k, v in sub.items())
         features = _known(doc.get("features", {}), _field_names(FeatureSpec),
                           "features")
-        train = _known(doc.get("train", {}), _field_names(TrainConfig), "train")
+        # every stream's seed is the experiment seed, so train takes none
+        train = _known(doc.get("train", {}), _field_names(TrainConfig) - {"seed"},
+                       "train")
         site_keys = _field_names(SiteConfig) - {"site_name"} | {"name", "role"}
         sites = []
         for i, entry in enumerate(doc["sites"]):
@@ -172,7 +174,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                                    role))
         return ExperimentConfig(
             features=FeatureSpec(**features),
-            train=_checked("train", TrainConfig, **{"seed": kw["seed"], **train}),
+            train=_checked("train", TrainConfig, seed=kw["seed"], **train),
             sites=sites, **kw)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
@@ -205,18 +207,23 @@ class SiteData:
     pp_fed: Preprocessor | None = None
 
 
+def site_data(cfg: ExperimentConfig, name: str, cohort: Cohort) -> SiteData:
+    """Site ``name``'s chronological split and its one preprocessor fit,
+    on the train part; ``pp_fed`` is left for ``prepare_sites``."""
+    entry = cfg.site(name)
+    train, val, test = chronological_split(cohort)
+    fit = Preprocessor(cfg.features.hc_vocab_sizes,
+                       entry.config.surgeon_vocab_size).fit(train)
+    return SiteData(name, entry.role, train, val, test, fit)
+
+
 def prepare_sites(cfg: ExperimentConfig, cohorts: dict[str, Cohort]
                   ) -> dict[str, SiteData]:
     """Split each site chronologically and fit its preprocessor once:
     ``pp_local`` is the fit, ``pp_fed`` that fit rescaled to the shared
     range of the development sites, as the federation protocol builds it."""
-    vocabs = cfg.features.hc_vocab_sizes
-    sites: dict[str, SiteData] = {}
-    for entry in cfg.sites:
-        name = entry.config.site_name
-        train, val, test = chronological_split(cohorts[name])
-        pp_local = Preprocessor(vocabs, entry.config.surgeon_vocab_size).fit(train)
-        sites[name] = SiteData(name, entry.role, train, val, test, pp_local)
+    names = [e.config.site_name for e in cfg.sites]
+    sites = {n: site_data(cfg, n, cohorts[n]) for n in names}
     shared = shared_scaler([sites[n].pp_local.scaler_stats()
                             for n in cfg.development_sites])
     for sd in sites.values():
@@ -296,18 +303,15 @@ def federated_train_config(cfg: ExperimentConfig, algo: str) -> TrainConfig:
     return cfg.train if algo == "fedprox" else replace(cfg.train, mu=0.0)
 
 
-def site_worker(cfg: ExperimentConfig, name: str, train: Cohort, val: Cohort,
-                algo: str) -> SiteWorker:
-    """The federation client of development site ``name``."""
-    return SiteWorker(name, train, val, cfg.arch, algo,
-                      federated_train_config(cfg, algo),
-                      cfg.site(name).config.surgeon_vocab_size)
+def site_worker(cfg: ExperimentConfig, sd: SiteData, algo: str) -> SiteWorker:
+    """The federation client of development site ``sd``, with its fit."""
+    return SiteWorker(sd.name, sd.train, sd.val, cfg.arch, algo,
+                      federated_train_config(cfg, algo), sd.pp_local)
 
 
 def run_federated_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
                            algo: str) -> TrainResult:
-    workers = {name: site_worker(cfg, name, sites[name].train, sites[name].val,
-                                 algo)
+    workers = {name: site_worker(cfg, sites[name], algo)
                for name in cfg.development_sites}
     return run_federation_inprocess(cfg.arch, algo,
                                     federated_train_config(cfg, algo), workers)

@@ -335,14 +335,15 @@ def validation_auroc(probs: np.ndarray, labels: np.ndarray
 class SiteWorker:
     """Client side: local preprocessing, local training, control variates.
 
-    A state machine over the protocol: ``hello`` opens a session, then
-    ``handle`` takes each coordinator message in turn and returns the
-    reply, if any. A message out of protocol order raises FederationError.
+    ``fit`` is the site's preprocessor fit on ``train``. A state machine
+    over the protocol: ``hello`` opens a session, then ``handle`` takes
+    each coordinator message in turn and returns the reply, if any. A
+    message out of protocol order raises FederationError.
     """
 
     def __init__(self, site_name: str, train: Cohort, val: Cohort,
                  arch: ArchConfig, algo: str, cfg: TrainConfig,
-                 surgeon_vocab_size: int = 0):
+                 fit: Preprocessor):
         if algo not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algo!r}")
         self.site_name = site_name
@@ -351,11 +352,10 @@ class SiteWorker:
         self.arch = arch
         self.algo = algo
         self.cfg = cfg
-        self.surgeon_vocab_size = surgeon_vocab_size
+        self.fit = fit
         # the message type the protocol allows next; None outside a session
         self._expect: type | None = None
         self._c_i: ModelParams | None = None  # SCAFFOLD client control
-        self._fit: Preprocessor | None = None  # the site's own fit
 
     def hello(self) -> Hello:
         self._expect = RoundAck
@@ -372,13 +372,10 @@ class SiteWorker:
                 f"site {self.site_name!r} expected {want}, "
                 f"got {type(msg).__name__}")
         if isinstance(msg, RoundAck):
-            vocabs = tuple(v for v, _ in self.arch.high_card_specs)
-            self._fit = Preprocessor(vocabs, self.surgeon_vocab_size).fit(
-                self.train)
             self._expect = GlobalScaler
-            return ScalerStats(*self._fit.scaler_stats())
+            return ScalerStats(*self.fit.scaler_stats())
         if isinstance(msg, GlobalScaler):
-            pp = self._fit.rescaled(msg.mins, msg.maxs)
+            pp = self.fit.rescaled(msg.mins, msg.maxs)
             self._train_fm = pp.transform(self.train)
             self._val_fm = pp.transform(self.val)
             self._expect = GlobalModel

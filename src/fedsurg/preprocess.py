@@ -2,9 +2,11 @@
 
 The Preprocessor follows the fit/transform idiom: percentile clipping,
 median imputation and min-max scaling are learned from the training
-cohort only. In federated mode a site's fit is ``rescaled`` to the range
-``shared_scaler`` builds from per-site (min, max) summaries; clip bounds,
-medians and category maps stay site-local.
+cohort only. A fit is five float64 arrays (``CONTINUOUS_FIELDS``) and the
+codes seen; its format-1 audit artifact keeps an empty ``hard_bounds``, a
+retired option that ``from_json`` refuses. In federated mode a site's fit
+is ``rescaled`` to the range ``shared_scaler`` builds from per-site (min,
+max) summaries; clip bounds, medians and category maps stay site-local.
 
 All of it works on whole columns: the split orders rows with ``lexsort``,
 and ``fit`` reads every percentile and median off one column-wise sort with
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, replace
+from operator import index
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .model import Batch
 from .wire import quantize32
 
 FORMAT_VERSION = 1
+# the continuous fit, one float64 array each, in the artifact's key order
+CONTINUOUS_FIELDS = ("clip_low", "clip_high", "median", "scale_min", "scale_max")
 
 
 class SplitError(ValueError):
@@ -76,15 +80,6 @@ def chronological_split(cohort: Cohort) -> tuple[Cohort, Cohort, Cohort]:
             cohort.take(rows[v_cut:]))
 
 
-@dataclass
-class ContinuousStats:
-    clip_low: float
-    clip_high: float
-    median: float
-    scale_min: float
-    scale_max: float
-
-
 def _sorted_quantile(x: np.ndarray, m: np.ndarray, q: float) -> np.ndarray:
     """numpy's ``linear`` quantile ``q`` of the first ``m[j]`` values of
     each column j of ``x``, whose columns are sorted ascending: the same
@@ -120,28 +115,19 @@ class Preprocessor:
     """
 
     def __init__(self, hc_vocab_sizes: tuple[int, ...],
-                 surgeon_vocab_size: int = 0,
-                 hard_bounds: dict[int, tuple[float, float]] | None = None):
+                 surgeon_vocab_size: int = 0):
         self.hc_vocab_sizes = tuple(hc_vocab_sizes)
         self.surgeon_vocab_size = surgeon_vocab_size
-        self.hard_bounds = dict(hard_bounds or {})
-        self.cont_stats: list[ContinuousStats] | None = None
+        # CONTINUOUS_FIELDS -> one value per column
+        self.continuous: dict[str, np.ndarray] | None = None
         self.cat_seen: list[set[int]] | None = None
         self.surgeon_seen: set[int] = set()
 
-    @property
-    def fitted(self) -> bool:
-        return self.cont_stats is not None
-
-    def _bounded(self, cont: np.ndarray) -> np.ndarray:
-        """``cont`` with each hard-bounded column clipped (a copy if any)."""
-        if not self.hard_bounds:
-            return cont
-        out = cont.copy()
-        for i, (lo, hi) in self.hard_bounds.items():
-            if 0 <= i < out.shape[1]:
-                out[:, i] = np.clip(out[:, i], lo, hi)
-        return out
+    def _stats(self) -> tuple[np.ndarray, ...]:
+        """The continuous fit in ``CONTINUOUS_FIELDS`` order."""
+        if self.continuous is None:
+            raise FitError("preprocessor not fitted")
+        return tuple(self.continuous[k] for k in CONTINUOUS_FIELDS)
 
     def fit(self, train: Cohort) -> "Preprocessor":
         """Per continuous column, the 1st/99th percentile clip bounds, the
@@ -150,7 +136,7 @@ class Preprocessor:
         if not len(train):
             raise FitError("cannot fit on an empty cohort")
         # + 0.0 turns -0.0 into +0.0, so no statistic depends on zero order
-        x = np.sort(self._bounded(train.continuous), axis=0) + 0.0
+        x = np.sort(train.continuous, axis=0) + 0.0
         m = np.count_nonzero(~np.isnan(x), axis=0)
         if (m == 0).any():
             i = int(np.argmax(m == 0))
@@ -166,42 +152,33 @@ class Preprocessor:
         # starts from 0.0
         mid_lo, mid_hi = clipped((m - 1) // 2), clipped(m // 2)
         median = np.where(m % 2 == 1, 0.0 + mid_lo, (0.0 + mid_lo + mid_hi) / 2.0)
-        smin, smax = clipped(0), clipped(m - 1)
-        self.cont_stats = [ContinuousStats(*v) for v in zip(
-            clip_low.tolist(), clip_high.tolist(), median.tolist(),
-            smin.tolist(), smax.tolist())]
+        self.continuous = dict(zip(CONTINUOUS_FIELDS, (
+            clip_low, clip_high, median, clipped(0), clipped(m - 1))))
         self.cat_seen = [set(np.unique(col[col >= 0]).tolist())
                          for col in train.categorical.T[:len(self.hc_vocab_sizes)]]
         self.surgeon_seen = set(np.unique(train.surgeon_id).tolist())
         return self
 
     def scaler_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-feature (min, max) of the clipped training data."""
-        if not self.fitted:
-            raise FitError("preprocessor not fitted")
-        mins = np.array([s.scale_min for s in self.cont_stats])
-        maxs = np.array([s.scale_max for s in self.cont_stats])
-        return mins, maxs
+        """Per-feature (min, max) of the clipped training data (copies)."""
+        *_, smin, smax = self._stats()
+        return smin.copy(), smax.copy()
 
     def rescaled(self, mins, maxs) -> "Preprocessor":
         """A copy of this fit that scales to the range ``(mins, maxs)``;
         clip bounds, medians and seen codes stay this fit's."""
-        n = len(self.scaler_stats()[0])  # FitError when not fitted
-        mins, maxs = (np.asarray(v, dtype=np.float64) for v in (mins, maxs))
+        n = len(self._stats()[0])
+        mins, maxs = (np.array(v, dtype=np.float64) for v in (mins, maxs))
         if mins.shape != (n,) or maxs.shape != (n,):
             raise FitError(f"scaler range of shapes {mins.shape} and "
                            f"{maxs.shape} for a fit of {n} continuous features")
         out = copy.copy(self)
-        out.cont_stats = [replace(s, scale_min=lo, scale_max=hi) for s, lo, hi
-                          in zip(self.cont_stats, mins.tolist(), maxs.tolist())]
+        out.continuous = {**self.continuous, "scale_min": mins, "scale_max": maxs}
         return out
 
     def transform(self, cohort: Cohort) -> Batch:
-        if not self.fitted:
-            raise FitError("preprocessor not fitted")
-        low, high, median, smin, smax = np.array(
-            [list(vars(s).values()) for s in self.cont_stats]).T
-        x = self._bounded(cohort.continuous)
+        low, high, median, smin, smax = self._stats()
+        x = cohort.continuous
         x = np.clip(np.where(np.isnan(x), median, x), low, high)
         span = smax - smin
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -221,14 +198,13 @@ class Preprocessor:
     # --- audit artifact ---------------------------------------------------
 
     def to_json(self) -> str:
-        if not self.fitted:
-            raise FitError("preprocessor not fitted")
+        columns = zip(*(v.tolist() for v in self._stats()))
         doc = {
             "format_version": FORMAT_VERSION,
             "hc_vocab_sizes": list(self.hc_vocab_sizes),
             "surgeon_vocab_size": self.surgeon_vocab_size,
-            "hard_bounds": {str(k): list(v) for k, v in self.hard_bounds.items()},
-            "continuous": [vars(s) for s in self.cont_stats],
+            "hard_bounds": {},
+            "continuous": [dict(zip(CONTINUOUS_FIELDS, c)) for c in columns],
             "cat_seen": [sorted(s) for s in self.cat_seen],
             "surgeon_seen": sorted(self.surgeon_seen),
         }
@@ -236,14 +212,30 @@ class Preprocessor:
 
     @classmethod
     def from_json(cls, text: str) -> "Preprocessor":
-        doc = json.loads(text)
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise FitError(f"unsupported preprocessor format {doc.get('format_version')}")
-        pp = cls(tuple(doc["hc_vocab_sizes"]), doc["surgeon_vocab_size"],
-                 {int(k): tuple(v) for k, v in doc["hard_bounds"].items()})
-        pp.cont_stats = [ContinuousStats(**d) for d in doc["continuous"]]
-        pp.cat_seen = [set(s) for s in doc["cat_seen"]]
-        pp.surgeon_seen = set(doc["surgeon_seen"])
+        """The fit ``to_json`` wrote; FitError for any other text."""
+        try:
+            doc = json.loads(text)
+            if doc.get("format_version") != FORMAT_VERSION:
+                raise FitError(
+                    f"unsupported preprocessor format {doc.get('format_version')}")
+            if doc["hard_bounds"]:
+                raise FitError("hard_bounds is not supported; it must be empty")
+            # index() takes integers only, so a code of another type is refused
+            pp = cls(tuple(map(index, doc["hc_vocab_sizes"])),
+                     index(doc["surgeon_vocab_size"]))
+            pp.continuous = {k: np.array([c[k] for c in doc["continuous"]],
+                                         dtype=np.float64)
+                             for k in CONTINUOUS_FIELDS}
+            pp.cat_seen = [set(map(index, s)) for s in doc["cat_seen"]]
+            pp.surgeon_seen = set(map(index, doc["surgeon_seen"]))
+        except FitError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FitError(f"malformed preprocessor: {type(exc).__name__}: "
+                           f"{exc}") from exc
+        if len(pp.cat_seen) != len(pp.hc_vocab_sizes):
+            raise FitError(f"{len(pp.cat_seen)} seen-code lists for "
+                           f"{len(pp.hc_vocab_sizes)} categorical features")
         return pp
 
 

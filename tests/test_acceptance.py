@@ -96,9 +96,13 @@ def _small_site(name, n=200, seed=8):
     return train, val
 
 
+def _small_worker(name, train, val, algo, cfg):
+    return F.SiteWorker(name, train, val, SMALL_ARCH, algo, cfg,
+                        Preprocessor(SPEC_SMALL.hc_vocab_sizes, 10).fit(train))
+
+
 def _small_workers(algo, cfg, names=("a", "b", "c")):
-    return {n: F.SiteWorker(n, *_small_site(n), SMALL_ARCH, algo, cfg, 10)
-            for n in names}
+    return {n: _small_worker(n, *_small_site(n), algo, cfg) for n in names}
 
 
 def test_criterion_2_aggregator_algebra():
@@ -147,8 +151,8 @@ def test_criterion_2_aggregator_algebra():
         solo_cfg = F.TrainConfig(lr=0.1, batch_size=64, rounds=20,
                                  patience=20, seed=4)
         train, val = _small_site("solo")
-        workers = {"solo": F.SiteWorker("solo", train, val, SMALL_ARCH,
-                                       "fedavg", solo_cfg, 10)}
+        workers = {"solo": _small_worker("solo", train, val, "fedavg",
+                                         solo_cfg)}
         _, trace = federate_traced(SMALL_ARCH, "fedavg", solo_cfg, workers)
         assert len(trace) == 20
         lpp = Preprocessor(SPEC_SMALL.hc_vocab_sizes, 10).fit(train)
@@ -304,11 +308,11 @@ def test_criterion_6_pipeline_protocol():
             fm = pp.rescaled(gmins, gmaxs).transform(train)
             assert np.all((fm.continuous >= 0.0) & (fm.continuous <= 1.0))
             cont = np.stack([r.continuous for r in train.records])
+            s = pp.continuous
             for i in range(spec.n_continuous):
-                s = pp.cont_stats[i]
                 col = cont[:, i].copy()
-                col[np.isnan(col)] = s.median
-                col = np.clip(col, s.clip_low, s.clip_high)
+                col[np.isnan(col)] = s["median"][i]
+                col = np.clip(col, s["clip_low"][i], s["clip_high"][i])
                 want = np.clip((col - gmins[i]) / (gmaxs[i] - gmins[i]), 0, 1)
                 assert np.max(np.abs(fm.continuous[:, i] - want)) < 1e-12
 

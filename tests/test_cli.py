@@ -109,6 +109,55 @@ def test_evaluate_needs_the_central_preprocessor(pipeline, tmp_path):
         cli.main(["evaluate", "--config", str(cfg_path)])
 
 
+def _json_edit(edit):
+    """``edit`` applied to the parsed text, as new JSON text."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: '{"format_version": 1}',
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace('"median"', '"mid"', 1),
+    lambda text: text.replace('"hard_bounds": {}', '"hard_bounds": {"0": [0, 1]}'),
+    _json_edit(lambda doc: doc.update(hc_vocab_sizes=[10, 6])),
+    _json_edit(lambda doc: doc["continuous"].pop()),
+], ids=["only-the-version", "truncated", "missing-field", "hard-bounds",
+        "other-vocab-sizes", "other-continuous-width"])
+def test_evaluate_with_a_bad_central_preprocessor_exits(pipeline, tmp_path, edit):
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained, out)
+    path = out / "checkpoints" / "central_preprocessor.json"
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(SystemExit, match=r"central_preprocessor\.json: .*; "
+                                         r"run `fedsurg train` again"):
+        cli.main(["evaluate", "--config", str(cfg_path)])
+
+
+def test_train_fits_each_site_once(tmp_path, monkeypatch):
+    cfg_path, out = _config(tmp_path)
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+    sites = exp.prepare_sites(exp.load_config(cfg_path), {
+        n: cohort_from_csv(out / "cohorts" / f"{n}.csv") for n in "abx"})
+    fitted = []
+    fit = Preprocessor.fit
+
+    def counting(self, train):
+        fitted.append(len(train))
+        return fit(self, train)
+
+    monkeypatch.setattr(Preprocessor, "fit", counting)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    # one fit per site (a, b, x) and one of the pooled central train split;
+    # the three federated runs reuse the development sites' fits
+    assert fitted == [len(sites[n].train) for n in "abx"] + [
+        len(sites["a"].train) + len(sites["b"].train)]
+
+
 def test_compare_artifacts(pipeline):
     _, out = pipeline
     verdicts = json.loads((out / "reports" / "compare.json").read_text())

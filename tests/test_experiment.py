@@ -74,6 +74,8 @@ def test_config_rejects_bad_shapes():
     ("sead",), ("features", "n_cont"), ("arch", "embed_dims"),
     ("train", "lrr"), ("evaluate", "n_bot"), ("fine_tune", "epoch"),
     ("transport", "hots"), ("sites", 0, "colour"),
+    # every random stream takes the top-level seed
+    ("train", "seed"),
 ], ids=lambda path: ".".join(map(str, path)))
 def test_config_rejects_unknown_keys(path):
     doc = _doc(evaluate={}, fine_tune={}, transport={})
@@ -130,13 +132,14 @@ def test_federated_training_and_evaluation_share_one_preprocessor(cfg, prepared)
     def wire(msg):
         return decode_frame(encode_frame(msg))[0]
 
-    workers = {n: E.site_worker(cfg, n, sites[n].train, sites[n].val, "fedavg")
+    workers = {n: E.site_worker(cfg, sites[n], "fedavg")
                for n in cfg.development_sites}
     for worker in workers.values():
         worker.hello()
     stats = [wire(workers[n].handle(RoundAck(0))) for n in cfg.development_sites]
     scaler = wire(GlobalScaler(*shared_scaler([(s.mins, s.maxs) for s in stats])))
     for name, worker in workers.items():
+        assert worker.fit is sites[name].pp_local
         assert worker.handle(scaler) is None
         pp_fed = sites[name].pp_fed
         for got, part in ((worker._train_fm, sites[name].train),

@@ -186,10 +186,14 @@ def _site(name, n=160, seed=5):
     return train, val
 
 
+def _worker(name, train, val, algo, cfg):
+    """Site ``name``'s worker, handed its fit as ``prepare_sites`` makes it."""
+    return F.SiteWorker(name, train, val, SMALL_ARCH, algo, cfg,
+                        Preprocessor(SPEC.hc_vocab_sizes, 10).fit(train))
+
+
 def _workers(algo, cfg, names=("a", "b")):
-    return {name: F.SiteWorker(name, *_site(name), SMALL_ARCH, algo, cfg,
-                               surgeon_vocab_size=10)
-            for name in names}
+    return {name: _worker(name, *_site(name), algo, cfg) for name in names}
 
 
 def _cfg(**kw):
@@ -243,8 +247,7 @@ def test_single_client_federated_equals_quantized_sgd():
     with the transport's float32 quantization at each round boundary."""
     cfg = _cfg(rounds=3)
     train, val = _site("solo")
-    workers = {"solo": F.SiteWorker("solo", train, val, SMALL_ARCH, "fedavg",
-                                    cfg, surgeon_vocab_size=10)}
+    workers = {"solo": _worker("solo", train, val, "fedavg", cfg)}
     _, trace = federate_traced(SMALL_ARCH, "fedavg", cfg, workers)
     assert len(trace) == cfg.rounds
 
@@ -268,8 +271,7 @@ def test_scaler_range_of_the_wrong_width_names_the_site():
     workers = _workers("fedavg", cfg)
     train, val = _site("short")
     short = dataclasses.replace(train, continuous=train.continuous[:, :-1])
-    workers["short"] = F.SiteWorker("short", short, val, SMALL_ARCH, "fedavg",
-                                    cfg, surgeon_vocab_size=10)
+    workers["short"] = _worker("short", short, val, "fedavg", cfg)
     with pytest.raises(F.FederationError, match="'short'.* 4 mins") as err:
         F.run_federation_inprocess(SMALL_ARCH, "fedavg", cfg, workers)
     assert not isinstance(err.value, F.ClientFailure)
@@ -364,7 +366,7 @@ def test_handshake_rejects_wrong_architecture():
     cfg = _cfg(rounds=1)
     other = dataclasses.replace(SMALL_ARCH, merge_hidden=SMALL_ARCH.merge_hidden + 1)
     train, val = _site("a")
-    workers = {"a": F.SiteWorker("a", train, val, SMALL_ARCH, "fedavg", cfg, 10)}
+    workers = {"a": _worker("a", train, val, "fedavg", cfg)}
     with pytest.raises((F.HandshakeError, F.ClientFailure)):
         F.run_federation_inprocess(other, "fedavg", cfg, workers)
 

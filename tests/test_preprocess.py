@@ -1,5 +1,7 @@
 """Chronological split properties and the fit/transform preprocessor."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -64,16 +66,21 @@ def test_split_rejects_tiny_cohorts():
 def test_fit_percentile_and_median_oracle(cohort):
     pp = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort)
     cont = cohort.continuous
-    for i, s in enumerate(pp.cont_stats):
+    assert tuple(pp.continuous) == P.CONTINUOUS_FIELDS
+    for k in P.CONTINUOUS_FIELDS:
+        assert pp.continuous[k].dtype == np.float64
+        assert pp.continuous[k].shape == (SPEC.n_continuous,)
+    for i in range(SPEC.n_continuous):
+        s = {k: v[i] for k, v in pp.continuous.items()}
         col = cont[:, i]
         col = col[~np.isnan(col)]
         lo, hi = np.percentile(col, [1.0, 99.0])
-        assert s.clip_low == pytest.approx(lo, abs=1e-12)
-        assert s.clip_high == pytest.approx(hi, abs=1e-12)
+        assert s["clip_low"] == pytest.approx(lo, abs=1e-12)
+        assert s["clip_high"] == pytest.approx(hi, abs=1e-12)
         clipped = np.clip(col, lo, hi)
-        assert s.median == pytest.approx(float(np.median(clipped)), abs=1e-12)
-        assert s.scale_min == pytest.approx(float(clipped.min()), abs=1e-12)
-        assert s.scale_max == pytest.approx(float(clipped.max()), abs=1e-12)
+        assert s["median"] == pytest.approx(float(np.median(clipped)), abs=1e-12)
+        assert s["scale_min"] == pytest.approx(float(clipped.min()), abs=1e-12)
+        assert s["scale_max"] == pytest.approx(float(clipped.max()), abs=1e-12)
 
 
 def test_transform_output_ranges(cohort):
@@ -96,8 +103,8 @@ def test_transform_imputes_median():
     holed.continuous[0, 2] = np.nan
     assert not np.isnan(cohort.continuous[0, 2])
     fm = pp.transform(holed)
-    s = pp.cont_stats[2]
-    want = (s.median - s.scale_min) / (s.scale_max - s.scale_min)
+    s = {k: v[2] for k, v in pp.continuous.items()}
+    want = (s["median"] - s["scale_min"]) / (s["scale_max"] - s["scale_min"])
     assert fm.continuous[0, 2] == pytest.approx(want, abs=1e-12)
 
 
@@ -130,9 +137,8 @@ def test_rescaled_changes_scaling_only(cohort):
     assert pp1.to_json() == before  # the fit itself is unchanged
     m2, x2 = pp2.scaler_stats()
     assert np.array_equal(m2, mins - 1.0) and np.array_equal(x2, maxs + 1.0)
-    for s1, s2 in zip(pp1.cont_stats, pp2.cont_stats, strict=True):
-        assert (s1.clip_low, s1.clip_high, s1.median) == (
-            s2.clip_low, s2.clip_high, s2.median)
+    for k in ("clip_low", "clip_high", "median"):
+        assert np.array_equal(pp1.continuous[k], pp2.continuous[k])
     assert (pp2.cat_seen, pp2.surgeon_seen) == (pp1.cat_seen, pp1.surgeon_seen)
     fm1 = pp1.transform(cohort)
     fm2 = pp2.transform(cohort)
@@ -179,8 +185,8 @@ def test_shared_scaler_equals_pooled_minmax():
         for pp, c in ((ppa, a), (ppb, b)):
             col = c.continuous[:, i]
             col = col[~np.isnan(col)]
-            s = pp.cont_stats[i]
-            cols.append(np.clip(col, s.clip_low, s.clip_high))
+            s = pp.continuous
+            cols.append(np.clip(col, s["clip_low"][i], s["clip_high"][i]))
         pooled = np.concatenate(cols)
         # float32 rounding is monotone, so it commutes with min and max
         assert mins[i] == np.float32(pooled.min())
@@ -188,8 +194,7 @@ def test_shared_scaler_equals_pooled_minmax():
 
 
 def test_json_roundtrip(cohort):
-    pp = P.Preprocessor(SPEC.hc_vocab_sizes, surgeon_vocab_size=50,
-                        hard_bounds={0: (-3.0, 3.0)}).fit(cohort)
+    pp = P.Preprocessor(SPEC.hc_vocab_sizes, surgeon_vocab_size=50).fit(cohort)
     back = P.Preprocessor.from_json(pp.to_json())
     fm1 = pp.transform(cohort)
     fm2 = back.transform(cohort)
@@ -199,6 +204,49 @@ def test_json_roundtrip(cohort):
     assert np.array_equal(fm1.surgeon, fm2.surgeon)
     with pytest.raises(P.FitError):
         P.Preprocessor.from_json('{"format_version": 99}')
+
+
+def test_json_rewrites_to_the_same_text(cohort):
+    for pp in (P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort),
+               P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort).rescaled(
+                   np.zeros(SPEC.n_continuous), np.ones(SPEC.n_continuous))):
+        text = pp.to_json()
+        assert P.Preprocessor.from_json(text).to_json() == text
+        assert json.loads(text)["hard_bounds"] == {}
+
+
+def _edited_json(pp, edit):
+    doc = json.loads(pp.to_json())
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(hard_bounds={"0": [-3.0, 3.0]}), "hard_bounds"),
+    (lambda d: d.clear() or d.update(format_version=1), "KeyError"),
+    (lambda d: d["continuous"][2].pop("median"), "KeyError: 'median'"),
+    (lambda d: d["continuous"].__setitem__(0, 5), "TypeError"),
+    (lambda d: d["continuous"][0].update(median="mid"), "ValueError"),
+    (lambda d: d.update(cat_seen=d["cat_seen"][:1]), "1 seen-code lists for 2"),
+    (lambda d: d["cat_seen"][0].append("3"), "TypeError"),
+    (lambda d: d["surgeon_seen"].append(2.5), "TypeError"),
+    (lambda d: d.update(surgeon_vocab_size="50"), "TypeError"),
+    (lambda d: d["hc_vocab_sizes"].append(None), "TypeError"),
+], ids=["hard-bounds", "only-the-version", "missing-field", "entry-not-an-object",
+        "value-not-a-number", "too-few-seen-code-lists", "code-not-an-integer",
+        "surgeon-not-an-integer", "vocab-size-not-an-integer",
+        "vocab-sizes-not-integers"])
+def test_from_json_rejects_what_to_json_never_writes(cohort, edit, match):
+    pp = P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort)
+    with pytest.raises(P.FitError, match=match):
+        P.Preprocessor.from_json(_edited_json(pp, edit))
+
+
+def test_from_json_of_truncated_or_non_object_text_is_a_fit_error(cohort):
+    text = P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort).to_json()
+    for bad in (text[:len(text) // 2], "", "[1]", "null"):
+        with pytest.raises(P.FitError, match="malformed preprocessor"):
+            P.Preprocessor.from_json(bad)
 
 
 # --- record-by-record oracles ------------------------------------------------
@@ -225,17 +273,14 @@ def _split_oracle(cohort, fractions=(0.60, 0.10, 0.30)):
     return collect(ordered[:t]), collect(ordered[t:v]), collect(ordered[v:])
 
 
-def _fit_oracle(train, hc_vocab_sizes, hard_bounds=None, override=None):
+def _fit_oracle(train, hc_vocab_sizes, override=None):
     """Column-by-column percentile clip, median and min/max, and the seen
     category and surgeon sets, from the rows."""
-    hard_bounds = hard_bounds or {}
     cont = np.stack([r.continuous for r in train.records])
     stats = []
     for i in range(cont.shape[1]):
         col = cont[:, i]
         col = col[~np.isnan(col)]
-        if i in hard_bounds:
-            col = np.clip(col, *hard_bounds[i])
         col = col + 0.0   # every zero +0.0
         if col.size == 0:
             raise P.FitError(f"cont_{i:02d}")
@@ -257,15 +302,12 @@ def _fit_oracle(train, hc_vocab_sizes, hard_bounds=None, override=None):
 
 
 def _transform_oracle(cohort, stats, cat_seen, surgeon_seen, hc_vocab_sizes,
-                      surgeon_vocab_size, hard_bounds=None):
-    hard_bounds = hard_bounds or {}
+                      surgeon_vocab_size):
     records = cohort.records
     cont = np.stack([r.continuous for r in records])
     out = np.empty_like(cont)
     for i, (lo, hi, median, smin, smax) in enumerate(stats):
         col = cont[:, i].copy()
-        if i in hard_bounds:
-            col = np.clip(col, *hard_bounds[i])
         col[np.isnan(col)] = median
         col = np.clip(col, lo, hi)
         span = smax - smin
@@ -288,20 +330,25 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _fit_bits(pp) -> bytes:
+    """The continuous fit as (column, statistic) float64 bytes, the layout
+    of ``_fit_oracle``'s stats."""
+    return _bits(np.column_stack([pp.continuous[k] for k in P.CONTINUOUS_FIELDS]))
+
+
 def _assert_matches_oracles(train, others, hc_vocab_sizes, surgeon_vocab_size,
-                            hard_bounds=None, override=None):
-    pp = P.Preprocessor(hc_vocab_sizes, surgeon_vocab_size, hard_bounds).fit(train)
+                            override=None):
+    pp = P.Preprocessor(hc_vocab_sizes, surgeon_vocab_size).fit(train)
     if override is not None:
         pp = pp.rescaled(*override)
-    stats, cat_seen, surgeon_seen = _fit_oracle(train, hc_vocab_sizes,
-                                                hard_bounds, override)
-    assert _bits([list(vars(s).values()) for s in pp.cont_stats]) == _bits(stats)
+    stats, cat_seen, surgeon_seen = _fit_oracle(train, hc_vocab_sizes, override)
+    assert _fit_bits(pp) == _bits(stats)
     assert pp.cat_seen == cat_seen and pp.surgeon_seen == surgeon_seen
     for part in [train, *others]:
         fm = pp.transform(part)
         cont, high_card, surgeon = _transform_oracle(
             part, stats, cat_seen, surgeon_seen, hc_vocab_sizes,
-            surgeon_vocab_size, hard_bounds)
+            surgeon_vocab_size)
         assert fm.continuous.tobytes() == cont.tobytes()
         for got, want in zip(fm.high_card, high_card, strict=True):
             assert np.array_equal(got, want)
@@ -341,13 +388,12 @@ def test_fit_transform_match_record_oracle():
                                 SPEC.hc_vocab_sizes, 50)
     # with mixed zeros too, the stats do not depend on the row order
     shuffled = coarse.take(np.random.default_rng(0).permutation(len(coarse)))
-    stats = [P.Preprocessor(SPEC.hc_vocab_sizes).fit(c).cont_stats
-             for c in (coarse, shuffled)]
-    assert _bits([list(vars(s).values()) for s in stats[0]]) == _bits(
-        [list(vars(s).values()) for s in stats[1]])
-    # hard bounds, a scaler override and a degenerate (zero-span) column
-    bounds = {0: (-0.5, 0.5), 3: (0.0, 0.0), 99: (0.0, 1.0)}
-    _assert_matches_oracles(train, [test], SPEC.hc_vocab_sizes, 50, bounds)
+    fits = [P.Preprocessor(SPEC.hc_vocab_sizes).fit(c) for c in (coarse, shuffled)]
+    assert _fit_bits(fits[0]) == _fit_bits(fits[1])
+    # a degenerate (zero-span) column, and a scaler override
+    flat = train.take(np.arange(len(train)))
+    flat.continuous[:, 3] = 0.25
+    _assert_matches_oracles(flat, [test], SPEC.hc_vocab_sizes, 50)
     mins, maxs = P.Preprocessor(SPEC.hc_vocab_sizes).fit(train).scaler_stats()
     _assert_matches_oracles(train, [test], SPEC.hc_vocab_sizes, 50,
                             override=(mins - 0.25, maxs.astype(np.float32)))
