@@ -154,8 +154,11 @@ def sigmoid(tape: Tape, x: Node) -> Node:
     return tape._record(out, (x,), backward)
 
 
-def embeddings(tape: Tape, tables: Sequence[Node], indices: Sequence) -> Node:
+def embeddings(tape: Tape, tables: Sequence[Node], indices) -> Node:
     """Row gather from each table, the rows concatenated along axis 1.
+
+    ``indices`` is one integer matrix of shape (len(tables), B): row t
+    holds the batch's indices into table t.
 
     Backward is one ``np.bincount`` over all tables flattened end to end:
     the gradient entry of row b in column d of table t adds into flat bin
@@ -163,18 +166,16 @@ def embeddings(tape: Tape, tables: Sequence[Node], indices: Sequence) -> Node:
     starting from 0.0, so each bin sums its rows in increasing b, exactly
     as ``np.add.at`` scatters them.
     """
-    if not tables or len(tables) != len(indices):
-        raise ShapeError(
-            f"{len(tables)} embedding tables for {len(indices)} index columns")
-    cols = [np.asarray(i) for i in indices]
-    for idx in cols:
-        if idx.ndim != 1:
-            raise ShapeError("embedding indices must be a flat list")
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise ShapeError("embedding indices must be integers")
-    if len({idx.size for idx in cols}) != 1:
-        raise ShapeError("embedding index columns differ in length")
-    rows = np.stack(cols).astype(np.intp, copy=False)  # tables x batch
+    try:
+        rows = np.asarray(indices)
+    except ValueError as exc:  # a ragged nesting
+        raise ShapeError(f"embedding indices are not one matrix: {exc}") from exc
+    if not tables or rows.ndim != 2 or rows.shape[0] != len(tables):
+        raise ShapeError(f"{len(tables)} embedding tables for an index array "
+                         f"of shape {rows.shape}")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ShapeError("embedding indices must be integers")
+    rows = rows.astype(np.intp, copy=False)
     vocab = np.array([t.value.shape[0] for t in tables])[:, None]
     outside = (rows < 0) | (rows >= vocab)
     if outside.any():

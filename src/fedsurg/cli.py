@@ -44,9 +44,8 @@ def _load_cohort(out: Path, name: str):
     return cohort_from_csv(path)
 
 
-def _load_cohorts(cfg: exp.ExperimentConfig, out: Path):
-    return {entry.config.site_name: _load_cohort(out, entry.config.site_name)
-            for entry in cfg.sites}
+def _load_cohorts(out: Path, names: list[str]):
+    return {name: _load_cohort(out, name) for name in names}
 
 
 def cmd_generate(cfg: exp.ExperimentConfig, args) -> int:
@@ -82,7 +81,8 @@ def _save_single(out: Path, name: str, arch, result) -> None:
 
 def cmd_train(cfg: exp.ExperimentConfig, args) -> int:
     out = _out(cfg)
-    sites = exp.prepare_sites(cfg, _load_cohorts(cfg, out))
+    # no paradigm reads an external site
+    sites = exp.prepare_sites(cfg, _load_cohorts(out, cfg.development_sites))
     paradigms = (("local", "central", "federated") if args.paradigm == "all"
                  else (args.paradigm,))
     if "local" in paradigms:
@@ -133,7 +133,8 @@ def _central_preprocessor(cfg: exp.ExperimentConfig, out: Path) -> Preprocessor:
 
 def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     out = _out(cfg)
-    sites = exp.prepare_sites(cfg, _load_cohorts(cfg, out))
+    names = cfg.development_sites + cfg.external_sites
+    sites = exp.prepare_sites(cfg, _load_cohorts(out, names))
     checkpoints = _model_checkpoints(cfg, out)
     central_pp = (_central_preprocessor(cfg, out) if "central" in checkpoints
                   else None)

@@ -25,7 +25,7 @@ from .federation import (ALGORITHMS, RoundRecord, SiteWorker, TrainConfig,
                          TrainResult, run_federation_inprocess, run_rounds,
                          validation_auroc)
 from .model import (ArchConfig, Batch, ModelParams, init_params, local_train,
-                    predict)
+                    network, predict)
 from .preprocess import Preprocessor, chronological_split, shared_scaler
 
 
@@ -219,11 +219,11 @@ def site_data(cfg: ExperimentConfig, name: str, cohort: Cohort) -> SiteData:
 
 def prepare_sites(cfg: ExperimentConfig, cohorts: dict[str, Cohort]
                   ) -> dict[str, SiteData]:
-    """Split each site chronologically and fit its preprocessor once:
-    ``pp_local`` is the fit, ``pp_fed`` that fit rescaled to the shared
-    range of the development sites, as the federation protocol builds it."""
-    names = [e.config.site_name for e in cfg.sites]
-    sites = {n: site_data(cfg, n, cohorts[n]) for n in names}
+    """Split each site of ``cohorts`` (every development site, and any
+    other) chronologically and fit its preprocessor once: ``pp_local`` is
+    the fit, ``pp_fed`` that fit rescaled to the shared range of the
+    development sites, as the federation protocol builds it."""
+    sites = {n: site_data(cfg, n, c) for n, c in cohorts.items()}
     shared = shared_scaler([sites[n].pp_local.scaler_stats()
                             for n in cfg.development_sites])
     for sd in sites.values():
@@ -235,8 +235,7 @@ def concat_batches(batches: list[Batch]) -> Batch:
     return Batch(
         continuous=np.concatenate([b.continuous for b in batches]),
         binary=np.concatenate([b.binary for b in batches]),
-        high_card=tuple(np.concatenate([b.high_card[j] for b in batches])
-                        for j in range(len(batches[0].high_card))),
+        high_card=np.concatenate([b.high_card for b in batches], axis=1),
         labels=np.concatenate([b.labels for b in batches]),
         surgeon=(np.concatenate([b.surgeon for b in batches])
                  if batches[0].surgeon is not None else None),
@@ -271,7 +270,7 @@ def train_single(arch: ArchConfig, train_fm: Batch, val_fm: Batch,
     label = "+".join(sorted(names))
 
     def one_epoch(t: int, params: ModelParams):
-        rep = local_train(params, arch, train_fm, cfg, rng)
+        rep = local_train(params, network(arch), train_fm, cfg, rng)
         val = validation_auroc(predict(rep.params, arch, val_fm), val_fm.labels)
         return rep.params, val, {label: rep.mean_loss}, rep.params
 

@@ -13,6 +13,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,20 +45,20 @@ class ArchConfig:
 
 @dataclass
 class Batch:
-    """Model-ready tensors for a slice of encounters."""
+    """Model-ready tensors for a slice of encounters. ``high_card`` is one
+    integer matrix, row j holding each encounter's index into table j."""
 
     continuous: np.ndarray            # B x n_continuous, values in [0, 1]
     binary: np.ndarray                # B x n_binary, values in {0, 1}
-    high_card: tuple[np.ndarray, ...]  # per feature, int index column of length B
+    high_card: np.ndarray             # n_high_card x B, integer indices
     labels: np.ndarray                # B x 4, values in {0, 1}
     surgeon: np.ndarray | None = None  # personalization feature, not a model input
 
     def __post_init__(self):
         n = self.continuous.shape[0]
-        rows = [self.binary.shape[0], self.labels.shape[0]]
-        rows += [col.shape[0] for col in self.high_card]
-        if any(r != n for r in rows):
-            raise ValueError("batch row counts disagree")
+        rows = (self.binary.shape[0], self.labels.shape[0], self.high_card.shape[-1])
+        if self.high_card.ndim != 2 or any(r != n for r in rows):
+            raise ValueError("batch shapes disagree")
 
     def __len__(self):
         return self.continuous.shape[0]
@@ -67,7 +68,7 @@ class Batch:
         return Batch(
             continuous=self.continuous[idx],
             binary=self.binary[idx],
-            high_card=tuple(col[idx] for col in self.high_card),
+            high_card=self.high_card[:, idx],
             labels=self.labels[idx],
             surgeon=None if self.surgeon is None else self.surgeon[idx],
         )
@@ -126,6 +127,9 @@ def _build_leaves(tape: ad.Tape, params: ModelParams, trainable: bool) -> dict[s
     return {k: tape.leaf(v, name=k, trainable=trainable) for k, v in params.items()}
 
 
+Graph = Callable[[ad.Tape, dict[str, ad.Node], Batch], ad.Node]
+
+
 def merge_activation_from_nodes(tape: ad.Tape, nodes: dict[str, ad.Node],
                                 arch: ArchConfig, batch: Batch) -> ad.Node:
     """Shared representation consumed by all four heads."""
@@ -144,20 +148,27 @@ def merge_activation_from_nodes(tape: ad.Tape, nodes: dict[str, ad.Node],
         tape, ad.concat(tape, branches), nodes["merge.W"], nodes["merge.b"]))
 
 
-def forward_from_nodes(tape: ad.Tape, nodes: dict[str, ad.Node], arch: ArchConfig,
-                       batch: Batch) -> ad.Node:
-    merged = merge_activation_from_nodes(tape, nodes, arch, batch)
-    heads = [ad.sigmoid(tape, ad.linear(
-        tape, merged, nodes[f"head{k}.W"], nodes[f"head{k}.b"]))
-        for k in range(arch.n_outcomes)]
-    return ad.concat(tape, heads)
+def outcome_heads(tape: ad.Tape, nodes: dict[str, ad.Node], x: ad.Node,
+                  n_outcomes: int, prefix: str = "head") -> ad.Node:
+    """One linear -> sigmoid head per outcome on ``x``, the columns side by
+    side; head k reads ``<prefix>k.W`` and ``<prefix>k.b``."""
+    return ad.concat(tape, [ad.sigmoid(tape, ad.linear(
+        tape, x, nodes[f"{prefix}{k}.W"], nodes[f"{prefix}{k}.b"]))
+        for k in range(n_outcomes)])
+
+
+def network(arch: ArchConfig) -> Graph:
+    """The risk network of ``arch`` as a graph over its parameter set."""
+    def graph(tape: ad.Tape, nodes: dict[str, ad.Node], batch: Batch) -> ad.Node:
+        merged = merge_activation_from_nodes(tape, nodes, arch, batch)
+        return outcome_heads(tape, nodes, merged, arch.n_outcomes)
+    return graph
 
 
 def forward(params: ModelParams, arch: ArchConfig, batch: Batch,
             tape: ad.Tape | None = None, trainable: bool = False) -> ad.Node:
     tape = tape if tape is not None else ad.Tape()
-    nodes = _build_leaves(tape, params, trainable)
-    return forward_from_nodes(tape, nodes, arch, batch)
+    return network(arch)(tape, _build_leaves(tape, params, trainable), batch)
 
 
 def predict(params: ModelParams, arch: ArchConfig, data: Batch,
@@ -167,12 +178,6 @@ def predict(params: ModelParams, arch: ArchConfig, data: Batch,
     chunks = [forward(params, arch, data.take(slice(i, i + batch_size))).value
               for i in range(0, len(data), batch_size)]
     return np.concatenate(chunks, axis=0)
-
-
-def multitask_loss(tape: ad.Tape, probs: ad.Node, labels: np.ndarray) -> ad.Node:
-    # equal-weight mean over the four heads; with equal batch sizes this is
-    # exactly the elementwise BCE mean over the B x 4 block
-    return ad.bce_loss(tape, probs, labels)
 
 
 def params_digest(params: ModelParams) -> str:
@@ -273,12 +278,15 @@ class TrainStepReport:
     mean_loss: float
 
 
-def local_train(params: ModelParams, arch: ArchConfig, data: Batch, cfg,
+def local_train(params: ModelParams, graph: Graph, data: Batch, cfg,
                 rng: np.random.Generator,
                 prox: tuple[float, ModelParams] | None = None,
                 grad_offset: ModelParams | None = None) -> TrainStepReport:
     """Minibatch SGD for cfg.local_epochs over the dataset.
 
+    Each step runs ``graph`` (``network(arch)`` for the risk network) on
+    ``params`` as trainable leaves and the minibatch, and descends the mean
+    BCE of its output; anything else the graph reads stays fixed.
     ``prox`` adds mu * (w - anchor) to each gradient (FedProx).
     ``grad_offset`` adds a fixed parameter-shaped correction to each
     gradient (SCAFFOLD passes c - c_i).
@@ -297,8 +305,7 @@ def local_train(params: ModelParams, arch: ArchConfig, data: Batch, cfg,
             batch = data.take(order[start:start + cfg.batch_size])
             tape = ad.Tape()
             nodes = _build_leaves(tape, current, trainable=True)
-            probs = forward_from_nodes(tape, nodes, arch, batch)
-            loss = multitask_loss(tape, probs, batch.labels)
+            loss = ad.bce_loss(tape, graph(tape, nodes, batch), batch.labels)
             grads = tape.gradients(loss)
             if prox is not None and prox[0] != 0.0:
                 mu, anchor = prox

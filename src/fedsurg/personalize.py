@@ -11,15 +11,15 @@ the global model's predictions exactly.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .model import (ArchConfig, Batch, CheckpointFormatError, ModelParams,
+from .model import (ArchConfig, Batch, CheckpointFormatError, Graph, ModelParams,
                     _build_leaves, _read_exact, _read_tensor, _unpack,
-                    _write_tensor, glorot_bound, merge_activation_from_nodes,
-                    params_digest)
+                    _write_tensor, glorot_bound, local_train,
+                    merge_activation_from_nodes, outcome_heads)
 
 
 @dataclass
@@ -29,30 +29,29 @@ class PersonalizedModel:
     surgeon_table: np.ndarray      # (vocab + 1) x dim; row 0 = unknown surgeon
     heads: ModelParams             # phead{k}.W / phead{k}.b over concat slice
 
-
-def _head_forward(tape: ad.Tape, pm_nodes: dict[str, ad.Node],
-                  table: ad.Node, arch: ArchConfig, merged: ad.Node,
-                  surgeon_idx: np.ndarray) -> ad.Node:
-    emb = ad.embeddings(tape, [table], [surgeon_idx])
-    combined = ad.concat(tape, [merged, emb])
-    heads = [ad.sigmoid(tape, ad.linear(
-        tape, combined, pm_nodes[f"phead{k}.W"], pm_nodes[f"phead{k}.b"]))
-        for k in range(arch.n_outcomes)]
-    return ad.concat(tape, heads)
+    def trained(self) -> ModelParams:
+        """The parameters fine-tuning trains: the table, then the heads."""
+        return {"surgeon.table": self.surgeon_table, **self.heads}
 
 
-def _forward(pm: PersonalizedModel, batch: Batch, trainable: bool
-             ) -> tuple[ad.Tape, ad.Node]:
-    if batch.surgeon is None:
-        raise ValueError("batch carries no surgeon ids")
+def _graph(backbone: ModelParams, arch: ArchConfig) -> Graph:
+    """The personalized network over ``PersonalizedModel.trained`` leaves;
+    ``backbone`` enters every tape as frozen leaves."""
+    def graph(tape: ad.Tape, nodes: dict[str, ad.Node], batch: Batch) -> ad.Node:
+        if batch.surgeon is None:
+            raise ValueError("batch carries no surgeon ids")
+        frozen = _build_leaves(tape, backbone, trainable=False)
+        merged = merge_activation_from_nodes(tape, frozen, arch, batch)
+        emb = ad.embeddings(tape, [nodes["surgeon.table"]], batch.surgeon[None])
+        return outcome_heads(tape, nodes, ad.concat(tape, [merged, emb]),
+                             arch.n_outcomes, prefix="phead")
+    return graph
+
+
+def _forward(pm: PersonalizedModel, batch: Batch) -> tuple[ad.Tape, ad.Node]:
     tape = ad.Tape()
-    backbone_nodes = _build_leaves(tape, pm.backbone, trainable=False)
-    merged = merge_activation_from_nodes(tape, backbone_nodes, pm.arch, batch)
-    table = tape.leaf(pm.surgeon_table, name="surgeon.table", trainable=trainable)
-    head_nodes = {k: tape.leaf(v, name=k, trainable=trainable)
-                  for k, v in pm.heads.items()}
-    probs = _head_forward(tape, head_nodes, table, pm.arch, merged, batch.surgeon)
-    return tape, probs
+    nodes = _build_leaves(tape, pm.trained(), trainable=False)
+    return tape, _graph(pm.backbone, pm.arch)(tape, nodes, batch)
 
 
 def warm_start(global_params: ModelParams, arch: ArchConfig,
@@ -74,36 +73,25 @@ def warm_start(global_params: ModelParams, arch: ArchConfig,
 
 
 def predict_personalized(pm: PersonalizedModel, batch: Batch) -> np.ndarray:
-    _, probs = _forward(pm, batch, trainable=False)
-    return probs.value
+    return _forward(pm, batch)[1].value
 
 
 def personalized_loss(pm: PersonalizedModel, data: Batch) -> float:
-    tape, probs = _forward(pm, data, trainable=False)
+    tape, probs = _forward(pm, data)
     return float(ad.bce_loss(tape, probs, data.labels).value)
 
 
 def fine_tune(global_params: ModelParams, arch: ArchConfig, train: Batch,
               cfg, seed: int, surgeon_vocab_size: int, embed_dim: int = 8,
               epochs: int = 5) -> PersonalizedModel:
-    """Train surgeon table and new heads by minibatch SGD; backbone frozen."""
-    if train.surgeon is None:
-        raise ValueError("training data carries no surgeon ids")
+    """Train the surgeon table and new heads for ``epochs`` epochs of
+    ``local_train``; the backbone is frozen."""
     pm = warm_start(global_params, arch, surgeon_vocab_size, embed_dim, seed)
-    backbone_hash = params_digest(pm.backbone)
-    rng = np.random.default_rng([seed, 0xF17E])
-    n = len(train)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = train.take(order[start:start + cfg.batch_size])
-            tape, probs = _forward(pm, batch, trainable=True)
-            loss = ad.bce_loss(tape, probs, batch.labels)
-            grads = tape.gradients(loss)
-            pm.surgeon_table = pm.surgeon_table - cfg.lr * grads["surgeon.table"]
-            pm.heads = {k: pm.heads[k] - cfg.lr * grads[k] for k in pm.heads}
-    assert params_digest(pm.backbone) == backbone_hash  # freeze contract
-    return pm
+    rep = local_train(pm.trained(), _graph(pm.backbone, arch), train,
+                      replace(cfg, local_epochs=epochs),
+                      np.random.default_rng([seed, 0xF17E]))
+    table = rep.params.pop("surgeon.table")
+    return PersonalizedModel(pm.backbone, arch, table, rep.params)
 
 
 # --- personalization delta file ------------------------------------------
@@ -116,8 +104,7 @@ def save_delta(path, pm: PersonalizedModel) -> None:
     with open(path, "wb") as fh:
         fh.write(_DELTA_MAGIC)
         fh.write(struct.pack("<I", 1 + len(pm.heads)))
-        _write_tensor(fh, "surgeon.table", pm.surgeon_table)
-        for name, arr in pm.heads.items():
+        for name, arr in pm.trained().items():
             _write_tensor(fh, name, arr)
 
 

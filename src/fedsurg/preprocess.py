@@ -184,12 +184,13 @@ class Preprocessor:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.clip((x - smin) / span, 0.0, 1.0)
         out[:, span <= 0] = 0.0
+        high_card = np.empty((len(self.hc_vocab_sizes), len(cohort)), dtype=np.intp)
+        for j, (seen, vocab) in enumerate(zip(self.cat_seen, self.hc_vocab_sizes)):
+            high_card[j] = _lookup(cohort.categorical[:, j], seen, vocab)
         return Batch(
             continuous=out,
             binary=cohort.binary.astype(np.float64),
-            high_card=tuple(_lookup(cohort.categorical[:, j], seen, vocab)
-                            for j, (seen, vocab) in enumerate(
-                                zip(self.cat_seen, self.hc_vocab_sizes))),
+            high_card=high_card,
             labels=cohort.outcomes.astype(np.float64),
             surgeon=_lookup(cohort.surgeon_id, self.surgeon_seen,
                             self.surgeon_vocab_size + 1),

@@ -3,8 +3,7 @@ import pytest
 
 import fedsurg.autodiff as ad
 from fedsurg import federation as F
-from fedsurg.model import (ArchConfig, Batch, ModelParams, forward,
-                           multitask_loss, param_shapes)
+from fedsurg.model import ArchConfig, Batch, ModelParams, forward, param_shapes
 from fedsurg.wire import GlobalModel
 
 
@@ -29,7 +28,8 @@ def random_batch(arch: ArchConfig, n: int, seed: int,
     return Batch(
         continuous=rng.uniform(0, 1, (n, arch.n_continuous)),
         binary=rng.integers(0, 2, (n, arch.n_binary)).astype(float),
-        high_card=tuple(rng.integers(0, v, n) for v, _ in arch.high_card_specs),
+        high_card=np.array([rng.integers(0, v, n) for v, _ in arch.high_card_specs],
+                           dtype=np.intp).reshape(len(arch.high_card_specs), n),
         labels=rng.integers(0, 2, (n, arch.n_outcomes)).astype(float),
         surgeon=rng.integers(0, surgeon_vocab + 1, n) if surgeon_vocab else None,
     )
@@ -61,7 +61,7 @@ def unflatten_params(flat: np.ndarray, arch: ArchConfig) -> ModelParams:
 def loss_on(params: ModelParams, arch: ArchConfig, data: Batch) -> float:
     tape = ad.Tape()
     probs = forward(params, arch, data, tape=tape)
-    return float(multitask_loss(tape, probs, data.labels).value)
+    return float(ad.bce_loss(tape, probs, data.labels).value)
 
 
 class RecordingChannel(F.LoopbackChannel):

@@ -57,7 +57,7 @@ def test_criterion_1_gradient_check():
             batch = random_batch(SMALL_ARCH, 6, 100 + seed)
             tape = ad.Tape()
             probs = M.forward(params, SMALL_ARCH, batch, tape=tape, trainable=True)
-            loss = M.multitask_loss(tape, probs, batch.labels)
+            loss = ad.bce_loss(tape, probs, batch.labels)
             grads = tape.gradients(loss)
             for name, arr in params.items():
                 fd = np.zeros_like(arr)
@@ -135,7 +135,7 @@ def test_criterion_2_aggregator_algebra():
             for n in names:
                 c = state.server_control
                 offset = {k: c[k] - c_is[n][k] for k in c}
-                rep = M.local_train(x, SMALL_ARCH, fms[n], cfg,
+                rep = M.local_train(x, M.network(SMALL_ARCH), fms[n], cfg,
                                     F.client_rng(cfg.seed, n, t),
                                     grad_offset=offset)
                 c_new = F.scaffold_client_finalize(
@@ -160,7 +160,7 @@ def test_criterion_2_aggregator_algebra():
         params = M.init_params(SMALL_ARCH, solo_cfg.seed)
         for t in range(20):
             xq = W.quantize32(params)
-            rep = M.local_train(xq, SMALL_ARCH, fm, solo_cfg,
+            rep = M.local_train(xq, M.network(SMALL_ARCH), fm, solo_cfg,
                                 F.client_rng(solo_cfg.seed, "solo", t))
             params = W.quantize32(rep.params)
             diff = max(np.abs(trace[t][k] - params[k]).max() for k in params)

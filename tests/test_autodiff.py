@@ -4,6 +4,8 @@ The oracle treats the whole network as a black-box scalar function of
 each trainable leaf and perturbs one coordinate at a time.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,8 +123,25 @@ def test_embedding_rejects_out_of_vocab_index():
     tape = ad.Tape()
     table = tape.leaf(np.ones((4, 2)), name="t", trainable=True)
     other = tape.leaf(np.ones((9, 3)), name="u", trainable=True)
-    with pytest.raises(IndexError, match="embedding index 4 outside vocabulary"):
-        ad.embeddings(tape, [other, table], [np.array([8, 8]), np.array([0, 4])])
+    message = re.escape("embedding index 4 outside vocabulary [0, 4) "
+                        "(vocabulary mismatch between sites?)")
+    for idx in ([np.array([8, 8]), np.array([0, 4])], np.array([[8, 8], [0, 4]])):
+        with pytest.raises(IndexError, match=message):
+            ad.embeddings(tape, [other, table], idx)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([0, 1]),
+    [[0, 1], [0]],
+    np.zeros((3, 2), dtype=int),
+    np.zeros((1, 2), dtype=int),
+    np.zeros((2, 2)),
+], ids=["vector", "ragged", "more-rows", "fewer-rows", "float"])
+def test_embeddings_reject_what_is_not_an_index_matrix(bad):
+    tape = ad.Tape()
+    tables = [tape.leaf(np.ones((4, 2)), name=n, trainable=True) for n in "tu"]
+    with pytest.raises(ad.ShapeError):
+        ad.embeddings(tape, tables, bad)
 
 
 @pytest.mark.parametrize("bad", [np.zeros((2, 1), dtype=int),
@@ -147,7 +166,7 @@ def test_embeddings_gradient_is_add_at_bit_for_bit(specs, n, seed):
     the upstream gradient, rows never drawn included."""
     rng = np.random.default_rng(seed)
     tables = [rng.normal(size=spec) for spec in specs]
-    idx = [rng.integers(0, vocab, n) for vocab, _ in specs]
+    idx = np.array([rng.integers(0, vocab, n) for vocab, _ in specs])
     upstream = rng.normal(size=(n, sum(d for _, d in specs)))
     tape = ad.Tape()
     leaves = [tape.leaf(t, name=f"t{i}", trainable=True)

@@ -152,10 +152,26 @@ def test_train_fits_each_site_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Preprocessor, "fit", counting)
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
-    # one fit per site (a, b, x) and one of the pooled central train split;
-    # the three federated runs reuse the development sites' fits
-    assert fitted == [len(sites[n].train) for n in "abx"] + [
+    # one fit per development site (a, b), none of the external site x, and
+    # one of the pooled central train split; the three federated runs reuse
+    # the development sites' fits
+    assert fitted == [len(sites[n].train) for n in "ab"] + [
         len(sites["a"].train) + len(sites["b"].train)]
+
+
+def test_train_does_not_read_the_external_cohort(pipeline, tmp_path):
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts",
+                    ignore=shutil.ignore_patterns("x.csv*"))
+    assert not (out / "cohorts" / "x.csv").exists()
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    for sub in ("checkpoints", "history"):
+        written = sorted(p.name for p in (out / sub).iterdir())
+        assert written == sorted(p.name for p in (trained / sub).iterdir())
+        for name in written:
+            assert ((out / sub / name).read_bytes()
+                    == (trained / sub / name).read_bytes()), name
 
 
 def test_compare_artifacts(pipeline):

@@ -163,7 +163,7 @@ def test_local_train_reduces_loss(small_arch):
     data = random_batch(small_arch, 64, 1)
     before = loss_on(params, small_arch, data)
     rng = np.random.default_rng(0)
-    rep = M.local_train(params, small_arch, data, _cfg(local_epochs=5), rng)
+    rep = M.local_train(params, M.network(small_arch), data, _cfg(local_epochs=5), rng)
     assert rep.steps_taken == 5 * 8
     assert rep.n_samples == 64
     assert loss_on(rep.params, small_arch, data) < before
@@ -172,9 +172,9 @@ def test_local_train_reduces_loss(small_arch):
 def test_local_train_prox_mu_zero_is_bitwise_identity(small_arch):
     params = M.init_params(small_arch, 0)
     data = random_batch(small_arch, 32, 1)
-    plain = M.local_train(params, small_arch, data, _cfg(),
+    plain = M.local_train(params, M.network(small_arch), data, _cfg(),
                           np.random.default_rng(3))
-    prox0 = M.local_train(params, small_arch, data, _cfg(),
+    prox0 = M.local_train(params, M.network(small_arch), data, _cfg(),
                           np.random.default_rng(3), prox=(0.0, params))
     assert M.params_digest(plain.params) == M.params_digest(prox0.params)
 
@@ -182,9 +182,9 @@ def test_local_train_prox_mu_zero_is_bitwise_identity(small_arch):
 def test_local_train_prox_pulls_toward_anchor(small_arch):
     params = M.init_params(small_arch, 0)
     data = random_batch(small_arch, 32, 1)
-    free = M.local_train(params, small_arch, data, _cfg(local_epochs=3),
+    free = M.local_train(params, M.network(small_arch), data, _cfg(local_epochs=3),
                          np.random.default_rng(3))
-    tight = M.local_train(params, small_arch, data, _cfg(local_epochs=3),
+    tight = M.local_train(params, M.network(small_arch), data, _cfg(local_epochs=3),
                           np.random.default_rng(3), prox=(5.0, params))
     d_free = np.linalg.norm(flatten_params(free.params) - flatten_params(params))
     d_tight = np.linalg.norm(flatten_params(tight.params) - flatten_params(params))
@@ -197,9 +197,9 @@ def test_local_train_grad_offset_oracle(small_arch):
     data = random_batch(small_arch, 16, 1)
     cfg = _cfg(batch_size=16)
     offset = {k: np.full_like(v, 0.01) for k, v in params.items()}
-    plain = M.local_train(params, small_arch, data, cfg,
+    plain = M.local_train(params, M.network(small_arch), data, cfg,
                           np.random.default_rng(2))
-    shifted = M.local_train(params, small_arch, data, cfg,
+    shifted = M.local_train(params, M.network(small_arch), data, cfg,
                             np.random.default_rng(2), grad_offset=offset)
     for k in params:
         assert np.allclose(shifted.params[k],
@@ -209,7 +209,7 @@ def test_local_train_grad_offset_oracle(small_arch):
 def test_local_train_and_predict_golden(small_arch):
     """Pins the exact bytes of a short training run and of predict, so a
     faster step cannot change a checkpoint unnoticed."""
-    rep = M.local_train(M.init_params(small_arch, 5), small_arch,
+    rep = M.local_train(M.init_params(small_arch, 5), M.network(small_arch),
                         random_batch(small_arch, 50, 6),
                         _cfg(local_epochs=2, batch_size=8),
                         np.random.default_rng(7))
@@ -226,7 +226,7 @@ def test_local_train_rejects_empty_data(small_arch):
     params = M.init_params(small_arch, 0)
     data = random_batch(small_arch, 4, 1).take(np.array([], dtype=int))
     with pytest.raises(ValueError):
-        M.local_train(params, small_arch, data, _cfg(), np.random.default_rng(0))
+        M.local_train(params, M.network(small_arch), data, _cfg(), np.random.default_rng(0))
 
 
 def test_shared_backbone_heads_differ(small_arch):

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import fedsurg.autodiff as ad
 from fedsurg import model as M
 from fedsurg import personalize as P
 from fedsurg.federation import TrainConfig
@@ -65,6 +66,47 @@ def test_fine_tune_moves_only_table_and_heads():
                      surgeon_vocab_size=VOCAB, epochs=2)
     assert not np.array_equal(pm.surgeon_table, pm0.surgeon_table)
     assert any(not np.array_equal(pm.heads[k], pm0.heads[k]) for k in pm.heads)
+
+
+def _reference_fine_tune(params, arch, train, cfg, seed, vocab, epochs):
+    """[DERIVED] fine-tuning as its own minibatch loop over a hand-built
+    graph: frozen backbone, surgeon embedding beside the merge activation,
+    one linear -> sigmoid head per outcome."""
+    pm = P.warm_start(params, arch, vocab, seed=seed)
+    table, heads = pm.surgeon_table, dict(pm.heads)
+    rng = np.random.default_rng([seed, 0xF17E])
+    for _ in range(epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), cfg.batch_size):
+            batch = train.take(order[start:start + cfg.batch_size])
+            tape = ad.Tape()
+            backbone = {k: tape.leaf(v, name=k) for k, v in params.items()}
+            merged = M.merge_activation_from_nodes(tape, backbone, arch, batch)
+            t = tape.leaf(table, name="surgeon.table", trainable=True)
+            h = {k: tape.leaf(v, name=k, trainable=True) for k, v in heads.items()}
+            combined = ad.concat(tape, [merged, ad.embeddings(
+                tape, [t], batch.surgeon[None])])
+            probs = ad.concat(tape, [ad.sigmoid(tape, ad.linear(
+                tape, combined, h[f"phead{k}.W"], h[f"phead{k}.b"]))
+                for k in range(arch.n_outcomes)])
+            grads = tape.gradients(ad.bce_loss(tape, probs, batch.labels))
+            table = table - cfg.lr * grads["surgeon.table"]
+            heads = {k: heads[k] - cfg.lr * grads[k] for k in heads}
+    return table, heads
+
+
+def test_fine_tune_equals_its_reference_loop_bit_for_bit():
+    # 70 rows in batches of 16: four full batches and a partial one of 6
+    params, batch = _setup(n=70, seed=5)
+    cfg = TrainConfig(lr=0.05, batch_size=16)
+    pm = P.fine_tune(params, SMALL_ARCH, batch, cfg, seed=4,
+                     surgeon_vocab_size=VOCAB, epochs=3)
+    table, heads = _reference_fine_tune(params, SMALL_ARCH, batch, cfg, 4,
+                                        VOCAB, 3)
+    assert pm.surgeon_table.tobytes() == table.tobytes()
+    assert list(pm.heads) == list(heads)
+    for k in heads:
+        assert pm.heads[k].tobytes() == heads[k].tobytes(), k
 
 
 def test_fine_tune_is_deterministic():
