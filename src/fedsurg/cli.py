@@ -20,8 +20,7 @@ from pathlib import Path
 from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
 from .federation import ALGORITHMS, FederationError, coordinate
-from .model import load_checkpoint, save_checkpoint, predict
-from .preprocess import FitError, Preprocessor
+from .model import load_checkpoint, param_shapes, predict, save_checkpoint
 from .wire import connect_socket, serve_sockets
 
 log = logging.getLogger("fedsurg")
@@ -41,7 +40,11 @@ def _load_cohort(out: Path, name: str):
     if not path.exists():
         raise SystemExit(
             f"missing cohort file {path}; run `fedsurg generate` first")
-    return cohort_from_csv(path)
+    try:
+        return cohort_from_csv(path)
+    except ValueError as exc:
+        raise SystemExit(f"unreadable cohort file {path}: {exc}; "
+                         "run `fedsurg generate` again") from exc
 
 
 def _load_cohorts(out: Path, names: list[str]):
@@ -108,27 +111,18 @@ def _model_checkpoints(cfg: exp.ExperimentConfig, out: Path):
     for name in names:
         path = out / "checkpoints" / f"{name}.ckpt"
         if path.exists():
-            params, _ = load_checkpoint(path, cfg.arch)
-            found[name] = params
+            try:
+                found[name], _ = load_checkpoint(path, cfg.arch)
+                if ({k: v.shape for k, v in found[name].items()}
+                        != param_shapes(cfg.arch)):
+                    raise ValueError(f"{path} does not hold the tensors of "
+                                     "the config's architecture")
+            except ValueError as exc:
+                # every message names the file
+                raise SystemExit(f"{exc}; run `fedsurg train` again") from exc
     if not found:
         raise SystemExit("no checkpoints found; run `fedsurg train` first")
     return found
-
-
-def _central_preprocessor(cfg: exp.ExperimentConfig, out: Path) -> Preprocessor:
-    path = out / "checkpoints" / "central_preprocessor.json"
-    if not path.exists():
-        raise SystemExit(f"missing {path}, which the central checkpoint is "
-                         "scored through; run `fedsurg train` again")
-    try:
-        pp = Preprocessor.from_json(path.read_text())
-        if (pp.hc_vocab_sizes != tuple(cfg.features.hc_vocab_sizes)
-                or len(pp.continuous["median"]) != cfg.features.n_continuous):
-            raise FitError("fitted for other features than the config's")
-    except FitError as exc:
-        raise SystemExit(f"unusable {path}: {exc}; run `fedsurg train` again"
-                         ) from exc
-    return pp
 
 
 def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
@@ -136,12 +130,13 @@ def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     names = cfg.development_sites + cfg.external_sites
     sites = exp.prepare_sites(cfg, _load_cohorts(out, names))
     checkpoints = _model_checkpoints(cfg, out)
-    central_pp = (_central_preprocessor(cfg, out) if "central" in checkpoints
-                  else None)
+    central_pp = (exp.central_preprocessor(cfg, sites)
+                  if "central" in checkpoints else None)
     cells = {}
     for site_name, sd in sorted(sites.items()):
-        # Each model scores through the preprocessor it was trained with:
-        # the scored site's local fit for local models, the pooled fit for
+        # Each model scores through the preprocessor it was trained with,
+        # rebuilt from the cohorts as `train` fits it: the scored site's local
+        # fit for local models, the pooled fit of the development sites for
         # central, the shared scaler for federated models. Each split is
         # transformed once per preprocessor; one site's matrices live at a time.
         features = {}

@@ -509,11 +509,13 @@ def _parse_csv(path) -> Cohort:
     parts = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("an empty file, with no header row")
         while True:
             rows = list(islice(reader, _CSV_CHUNK))
             if any(len(row) != len(header) for row in rows):
-                raise ValueError(f"{path}: a row without {len(header)} cells")
+                raise ValueError(f"a row without {len(header)} cells")
             parts.append(_cohort_from_rows(header, rows))
             if len(rows) < _CSV_CHUNK:
                 break
@@ -566,7 +568,8 @@ def _read_copy(path, csv_bytes: bytes) -> list[np.ndarray] | None:
 
 def cohort_from_csv(path, site_name: str | None = None) -> Cohort:
     """The cohort in the CSV at ``path``: its columnar copy while that is
-    current and well formed, else the parsed CSV."""
+    current and well formed, else the parsed CSV. A CSV that does not
+    parse raises ValueError."""
     with open(path, "rb") as fh:
         columns = _read_copy(_copy_path(path), fh.read())
     cohort = Cohort("", *columns) if columns is not None else _parse_csv(path)

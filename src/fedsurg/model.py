@@ -264,7 +264,7 @@ def load_checkpoint(path, arch: ArchConfig | None = None) -> tuple[ModelParams, 
                 f"{path}: unsupported checkpoint version {version}")
         fingerprint = _read_name(fh, "architecture fingerprint")
         if arch is not None and fingerprint != arch_fingerprint(arch):
-            raise ValueError("checkpoint was written for a different architecture")
+            raise ValueError(f"{path} was written for a different architecture")
         count = _unpack(fh, "<I")
         params = dict(_read_tensor(fh) for _ in range(count))
     return params, fingerprint

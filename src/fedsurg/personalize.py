@@ -10,16 +10,14 @@ the global model's predictions exactly.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .model import (ArchConfig, Batch, CheckpointFormatError, Graph, ModelParams,
-                    _build_leaves, _read_exact, _read_tensor, _unpack,
-                    _write_tensor, glorot_bound, local_train,
-                    merge_activation_from_nodes, outcome_heads)
+                    _build_leaves, glorot_bound, load_checkpoint, local_train,
+                    merge_activation_from_nodes, outcome_heads, save_checkpoint)
 
 
 @dataclass
@@ -95,26 +93,19 @@ def fine_tune(global_params: ModelParams, arch: ArchConfig, train: Batch,
 
 
 # --- personalization delta file ------------------------------------------
-
-_DELTA_MAGIC = b"FSPD"
-
+#
+# A delta is a checkpoint file (``model.save_checkpoint``) of the trained
+# tensors, stamped with the backbone's architecture.
 
 def save_delta(path, pm: PersonalizedModel) -> None:
     """Everything beyond the backbone checkpoint: table + new heads."""
-    with open(path, "wb") as fh:
-        fh.write(_DELTA_MAGIC)
-        fh.write(struct.pack("<I", 1 + len(pm.heads)))
-        for name, arr in pm.trained().items():
-            _write_tensor(fh, name, arr)
+    save_checkpoint(path, pm.trained(), pm.arch)
 
 
 def load_delta(path, backbone: ModelParams, arch: ArchConfig) -> PersonalizedModel:
-    """A file that is not a whole delta raises CheckpointFormatError."""
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != _DELTA_MAGIC:
-            raise CheckpointFormatError(f"{path} is not a personalization delta")
-        count = _unpack(fh, "<I")
-        tensors = dict(_read_tensor(fh) for _ in range(count))
+    """A file that is not a whole delta raises CheckpointFormatError, and a
+    delta for a backbone of another architecture ValueError."""
+    tensors, _ = load_checkpoint(path, arch)
     table = tensors.pop("surgeon.table", None)
     if table is None or table.ndim != 2:
         raise CheckpointFormatError(f"{path} has no 2-D surgeon.table")

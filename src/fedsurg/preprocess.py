@@ -3,10 +3,11 @@
 The Preprocessor follows the fit/transform idiom: percentile clipping,
 median imputation and min-max scaling are learned from the training
 cohort only. A fit is five float64 arrays (``CONTINUOUS_FIELDS``) and the
-codes seen; its format-1 audit artifact keeps an empty ``hard_bounds``, a
-retired option that ``from_json`` refuses. In federated mode a site's fit
-is ``rescaled`` to the range ``shared_scaler`` builds from per-site (min,
-max) summaries; clip bounds, medians and category maps stay site-local.
+codes seen; ``to_json`` writes it as a format-1 audit artifact that nothing
+reads back, with an empty ``hard_bounds`` (a retired option). In federated
+mode a site's fit is ``rescaled`` to the range ``shared_scaler`` builds from
+per-site (min, max) summaries; clip bounds, medians and category maps stay
+site-local.
 
 All of it works on whole columns: the split orders rows with ``lexsort``,
 and ``fit`` reads every percentile and median off one column-wise sort with
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import json
-from operator import index
 
 import numpy as np
 
@@ -210,34 +210,6 @@ class Preprocessor:
             "surgeon_seen": sorted(self.surgeon_seen),
         }
         return json.dumps(doc, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Preprocessor":
-        """The fit ``to_json`` wrote; FitError for any other text."""
-        try:
-            doc = json.loads(text)
-            if doc.get("format_version") != FORMAT_VERSION:
-                raise FitError(
-                    f"unsupported preprocessor format {doc.get('format_version')}")
-            if doc["hard_bounds"]:
-                raise FitError("hard_bounds is not supported; it must be empty")
-            # index() takes integers only, so a code of another type is refused
-            pp = cls(tuple(map(index, doc["hc_vocab_sizes"])),
-                     index(doc["surgeon_vocab_size"]))
-            pp.continuous = {k: np.array([c[k] for c in doc["continuous"]],
-                                         dtype=np.float64)
-                             for k in CONTINUOUS_FIELDS}
-            pp.cat_seen = [set(map(index, s)) for s in doc["cat_seen"]]
-            pp.surgeon_seen = set(map(index, doc["surgeon_seen"]))
-        except FitError:
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise FitError(f"malformed preprocessor: {type(exc).__name__}: "
-                           f"{exc}") from exc
-        if len(pp.cat_seen) != len(pp.hc_vocab_sizes):
-            raise FitError(f"{len(pp.cat_seen)} seen-code lists for "
-                           f"{len(pp.hc_vocab_sizes)} categorical features")
-        return pp
 
 
 def shared_scaler(per_site: list[tuple[np.ndarray, np.ndarray]]

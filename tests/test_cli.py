@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline on a miniature experiment."""
 
+import dataclasses
 import json
 import shutil
 
@@ -10,8 +11,9 @@ import yaml
 from fedsurg import cli
 from fedsurg import experiment as exp
 from fedsurg.cohort import cohort_from_csv
-from fedsurg.model import load_checkpoint, predict
-from fedsurg.preprocess import Preprocessor, chronological_split
+from fedsurg.model import (init_params, load_checkpoint, predict,
+                           save_checkpoint)
+from fedsurg.preprocess import Preprocessor
 from fedsurg.wire import Hello, Shutdown
 
 
@@ -85,28 +87,22 @@ def test_evaluate_artifacts(pipeline):
 
 def test_central_is_scored_through_its_saved_preprocessor(pipeline):
     cfg_path, out = pipeline
-    arch = exp.load_config(cfg_path).arch
-    pp = Preprocessor.from_json(
-        (out / "checkpoints" / "central_preprocessor.json").read_text())
-    params, _ = load_checkpoint(out / "checkpoints" / "central.ckpt", arch)
+    cfg = exp.load_config(cfg_path)
+    sites = exp.prepare_sites(cfg, {
+        n: cohort_from_csv(out / "cohorts" / f"{n}.csv") for n in "abx"})
+    # the pooled fit of the development sites, as `train` saved it
+    pp = exp.central_preprocessor(cfg, sites)
+    assert ((out / "checkpoints" / "central_preprocessor.json").read_text()
+            == pp.to_json())
+    params, _ = load_checkpoint(out / "checkpoints" / "central.ckpt", cfg.arch)
     for site in ("a", "b", "x"):
-        _, _, test = chronological_split(
-            cohort_from_csv(out / "cohorts" / f"{site}.csv"))
+        test = sites[site].test
         fm = pp.transform(test)
         ids, scores, labels = exp.read_scores_csv(
             out / "scores" / f"central__{site}.csv")
         assert ids == test.encounter_id.tolist()
         assert np.array_equal(labels, fm.labels)
-        assert np.array_equal(scores, predict(params, arch, fm))
-
-
-def test_evaluate_needs_the_central_preprocessor(pipeline, tmp_path):
-    _, trained = pipeline
-    cfg_path, out = _config(tmp_path)
-    shutil.copytree(trained, out)
-    (out / "checkpoints" / "central_preprocessor.json").unlink()
-    with pytest.raises(SystemExit, match="central_preprocessor.json"):
-        cli.main(["evaluate", "--config", str(cfg_path)])
+        assert np.array_equal(scores, predict(params, cfg.arch, fm))
 
 
 def _json_edit(edit):
@@ -119,23 +115,106 @@ def _json_edit(edit):
 
 
 @pytest.mark.parametrize("edit", [
+    None,
     lambda text: '{"format_version": 1}',
     lambda text: text[:len(text) // 2],
     lambda text: text.replace('"median"', '"mid"', 1),
     lambda text: text.replace('"hard_bounds": {}', '"hard_bounds": {"0": [0, 1]}'),
     _json_edit(lambda doc: doc.update(hc_vocab_sizes=[10, 6])),
     _json_edit(lambda doc: doc["continuous"].pop()),
-], ids=["only-the-version", "truncated", "missing-field", "hard-bounds",
-        "other-vocab-sizes", "other-continuous-width"])
-def test_evaluate_with_a_bad_central_preprocessor_exits(pipeline, tmp_path, edit):
+], ids=["deleted", "only-the-version", "truncated", "missing-field",
+        "hard-bounds", "other-vocab-sizes", "other-continuous-width"])
+def test_evaluate_does_not_read_the_central_preprocessor(pipeline, tmp_path,
+                                                         edit):
     _, trained = pipeline
     cfg_path, out = _config(tmp_path)
-    shutil.copytree(trained, out)
+    shutil.copytree(trained, out,
+                    ignore=shutil.ignore_patterns("scores", "reports"))
     path = out / "checkpoints" / "central_preprocessor.json"
-    path.write_text(edit(path.read_text()))
-    with pytest.raises(SystemExit, match=r"central_preprocessor\.json: .*; "
-                                         r"run `fedsurg train` again"):
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_text(edit(path.read_text()))
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert cli.main(["compare", "--config", str(cfg_path)]) == 0
+    for sub in ("scores", "reports"):
+        written = sorted(p.name for p in (out / sub).iterdir())
+        assert written == sorted(p.name for p in (trained / sub).iterdir())
+        for name in written:
+            assert ((out / sub / name).read_bytes()
+                    == (trained / sub / name).read_bytes()), name
+
+
+def _truncated(path, arch):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _other_architecture(path, arch):
+    other = dataclasses.replace(arch, merge_hidden=arch.merge_hidden + 1)
+    save_checkpoint(path, init_params(other, 0), other)
+
+
+def _transposed_tensor(path, arch):
+    params, _ = load_checkpoint(path, arch)
+    params["cont.W"] = params["cont.W"].T
+    save_checkpoint(path, params, arch)
+
+
+@pytest.mark.parametrize("damage", [
+    _truncated, _other_architecture, _transposed_tensor],
+    ids=["truncated", "other-architecture", "transposed-tensor"])
+def test_bad_checkpoint_stops_evaluate_with_one_line(pipeline, tmp_path,
+                                                     damage):
+    trained_cfg, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained, out,
+                    ignore=shutil.ignore_patterns("scores", "reports"))
+    path = out / "checkpoints" / "fedavg.ckpt"
+    damage(path, exp.load_config(trained_cfg).arch)
+    with pytest.raises(SystemExit) as info:
         cli.main(["evaluate", "--config", str(cfg_path)])
+    message = info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert str(path) in message
+    assert message.endswith("; run `fedsurg train` again")
+    assert not list((out / "scores").iterdir())
+
+
+def _cut_last_row(lines):
+    # the file ends right after the last row's last comma
+    lines[-1] = lines[-1][:lines[-1].rindex(",") + 1]
+
+
+def _empty_cell(column):
+    def apply(lines):
+        header = lines[0].split(",")
+        row = lines[5].split(",")
+        row[header.index(column)] = ""
+        lines[5] = ",".join(row)
+    return apply
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["evaluate"], ["serve-site", "--site", "a"]],
+    ids=["train", "evaluate", "serve-site"])
+@pytest.mark.parametrize("damage", [
+    _cut_last_row, _empty_cell("age"), _empty_cell("icu"), list.clear],
+    ids=["cut-row", "empty-age", "empty-outcome", "empty-file"])
+def test_malformed_cohort_csv_stops_with_one_line(pipeline, tmp_path, damage,
+                                                  command):
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+    path = out / "cohorts" / "a.csv"
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("".join(f"{line}\n" for line in lines))
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command, "--config", str(cfg_path)])
+    message = info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith(f"unreadable cohort file {path}: ")
+    assert message.endswith("; run `fedsurg generate` again")
 
 
 def test_train_fits_each_site_once(tmp_path, monkeypatch):

@@ -1,8 +1,8 @@
 """Surgeon-identity fine-tuning: warm-start equivalence, backbone
 freeze and the delta artifact."""
 
+import dataclasses
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -134,7 +134,6 @@ def test_unknown_surgeon_uses_row_zero():
 def test_predict_requires_surgeon_ids():
     params, batch = _setup()
     pm = P.warm_start(params, SMALL_ARCH, VOCAB)
-    import dataclasses
     no_surgeon = dataclasses.replace(batch, surgeon=None)
     with pytest.raises(ValueError):
         P.predict_personalized(pm, no_surgeon)
@@ -200,11 +199,18 @@ def test_delta_whose_tensors_do_not_fit_the_model(tmp_path, damage):
     tensors = {"surgeon.table": pm.surgeon_table, **pm.heads}
     damage(tensors)
     path = tmp_path / "site.delta"
-    with open(path, "wb") as fh:
-        fh.write(P._DELTA_MAGIC)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            M._write_tensor(fh, name, arr)
+    M.save_checkpoint(path, tensors, SMALL_ARCH)
     with pytest.raises(M.CheckpointFormatError) as info:
         P.load_delta(path, params, SMALL_ARCH)
+    assert str(path) in str(info.value)
+
+
+def test_delta_refuses_a_backbone_of_another_architecture(tmp_path):
+    params, _ = _setup()
+    path = tmp_path / "site.delta"
+    P.save_delta(path, P.warm_start(params, SMALL_ARCH, VOCAB))
+    other = dataclasses.replace(SMALL_ARCH,
+                                branch_hidden=SMALL_ARCH.branch_hidden + 1)
+    with pytest.raises(ValueError, match="different architecture") as info:
+        P.load_delta(path, M.init_params(other, 1), other)
     assert str(path) in str(info.value)

@@ -193,60 +193,20 @@ def test_shared_scaler_equals_pooled_minmax():
         assert maxs[i] == np.float32(pooled.max())
 
 
-def test_json_roundtrip(cohort):
-    pp = P.Preprocessor(SPEC.hc_vocab_sizes, surgeon_vocab_size=50).fit(cohort)
-    back = P.Preprocessor.from_json(pp.to_json())
-    fm1 = pp.transform(cohort)
-    fm2 = back.transform(cohort)
-    assert np.array_equal(fm1.continuous, fm2.continuous)
-    for j in range(len(SPEC.hc_vocab_sizes)):
-        assert np.array_equal(fm1.high_card[j], fm2.high_card[j])
-    assert np.array_equal(fm1.surgeon, fm2.surgeon)
-    with pytest.raises(P.FitError):
-        P.Preprocessor.from_json('{"format_version": 99}')
-
-
-def test_json_rewrites_to_the_same_text(cohort):
+def test_json_holds_the_fit_exactly(cohort):
     for pp in (P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort),
                P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort).rescaled(
                    np.zeros(SPEC.n_continuous), np.ones(SPEC.n_continuous))):
-        text = pp.to_json()
-        assert P.Preprocessor.from_json(text).to_json() == text
-        assert json.loads(text)["hard_bounds"] == {}
-
-
-def _edited_json(pp, edit):
-    doc = json.loads(pp.to_json())
-    edit(doc)
-    return json.dumps(doc)
-
-
-@pytest.mark.parametrize("edit, match", [
-    (lambda d: d.update(hard_bounds={"0": [-3.0, 3.0]}), "hard_bounds"),
-    (lambda d: d.clear() or d.update(format_version=1), "KeyError"),
-    (lambda d: d["continuous"][2].pop("median"), "KeyError: 'median'"),
-    (lambda d: d["continuous"].__setitem__(0, 5), "TypeError"),
-    (lambda d: d["continuous"][0].update(median="mid"), "ValueError"),
-    (lambda d: d.update(cat_seen=d["cat_seen"][:1]), "1 seen-code lists for 2"),
-    (lambda d: d["cat_seen"][0].append("3"), "TypeError"),
-    (lambda d: d["surgeon_seen"].append(2.5), "TypeError"),
-    (lambda d: d.update(surgeon_vocab_size="50"), "TypeError"),
-    (lambda d: d["hc_vocab_sizes"].append(None), "TypeError"),
-], ids=["hard-bounds", "only-the-version", "missing-field", "entry-not-an-object",
-        "value-not-a-number", "too-few-seen-code-lists", "code-not-an-integer",
-        "surgeon-not-an-integer", "vocab-size-not-an-integer",
-        "vocab-sizes-not-integers"])
-def test_from_json_rejects_what_to_json_never_writes(cohort, edit, match):
-    pp = P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort)
-    with pytest.raises(P.FitError, match=match):
-        P.Preprocessor.from_json(_edited_json(pp, edit))
-
-
-def test_from_json_of_truncated_or_non_object_text_is_a_fit_error(cohort):
-    text = P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort).to_json()
-    for bad in (text[:len(text) // 2], "", "[1]", "null"):
-        with pytest.raises(P.FitError, match="malformed preprocessor"):
-            P.Preprocessor.from_json(bad)
+        doc = json.loads(pp.to_json())
+        assert doc["format_version"] == P.FORMAT_VERSION
+        assert doc["hard_bounds"] == {}
+        assert doc["hc_vocab_sizes"] == list(SPEC.hc_vocab_sizes)
+        assert doc["surgeon_vocab_size"] == 50
+        for field in P.CONTINUOUS_FIELDS:
+            values = np.array([c[field] for c in doc["continuous"]])
+            assert values.tobytes() == pp.continuous[field].tobytes(), field
+        assert doc["cat_seen"] == [sorted(s) for s in pp.cat_seen]
+        assert doc["surgeon_seen"] == sorted(pp.surgeon_seen)
 
 
 # --- record-by-record oracles ------------------------------------------------
