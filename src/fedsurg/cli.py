@@ -92,10 +92,8 @@ def cmd_train(cfg: exp.ExperimentConfig, args) -> int:
         for name, result in exp.run_local_paradigm(cfg, sites).items():
             _save_single(out, f"local_{name}", cfg.arch, result)
     if "central" in paradigms:
-        result, pp = exp.run_central_paradigm(cfg, sites)
+        result, _ = exp.run_central_paradigm(cfg, sites)
         _save_single(out, "central", cfg.arch, result)
-        (out / "checkpoints" / "central_preprocessor.json").write_text(
-            pp.to_json())
     if "federated" in paradigms:
         algos = cfg.algorithms if args.algo == "all" else (args.algo,)
         for algo in algos:
@@ -294,7 +292,12 @@ def main(argv=None) -> int:
     except (OSError, exp.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.fn(cfg, args)
+    try:
+        return args.fn(cfg, args)
+    except exp.ConfigError as exc:
+        # a cohort on disk that does not fit the config
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

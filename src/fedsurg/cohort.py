@@ -160,9 +160,6 @@ class ExclusionReport:
 
 @dataclass
 class GenerationReport:
-    site_name: str
-    n_encounters: int
-    prevalence: tuple[float, ...]
     intercepts: tuple[float, ...]
     exclusions: ExclusionReport
 
@@ -368,9 +365,6 @@ def generate_site(cfg: SiteConfig, spec: FeatureSpec, truth: GroundTruthModel,
     )
     cohort = inject_missingness(cohort, cfg.missing_rate, seed)
     report = GenerationReport(
-        site_name=cfg.site_name,
-        n_encounters=n,
-        prevalence=tuple(float(v) for v in cohort.prevalence()),
         intercepts=tuple(float(b) for b in intercepts),
         exclusions=excluded,
     )

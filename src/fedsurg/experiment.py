@@ -26,7 +26,8 @@ from .federation import (ALGORITHMS, RoundRecord, SiteWorker, TrainConfig,
                          validation_auroc)
 from .model import (ArchConfig, Batch, ModelParams, init_params, local_train,
                     network, predict)
-from .preprocess import Preprocessor, chronological_split, shared_scaler
+from .preprocess import (FitError, Preprocessor, SplitError, chronological_split,
+                         shared_scaler)
 
 
 class ConfigError(ValueError):
@@ -199,7 +200,6 @@ def generate_cohorts(cfg: ExperimentConfig
 @dataclass
 class SiteData:
     name: str
-    role: str
     train: Cohort
     val: Cohort
     test: Cohort
@@ -209,12 +209,25 @@ class SiteData:
 
 def site_data(cfg: ExperimentConfig, name: str, cohort: Cohort) -> SiteData:
     """Site ``name``'s chronological split and its one preprocessor fit,
-    on the train part; ``pp_fed`` is left for ``prepare_sites``."""
-    entry = cfg.site(name)
-    train, val, test = chronological_split(cohort)
-    fit = Preprocessor(cfg.features.hc_vocab_sizes,
-                       entry.config.surgeon_vocab_size).fit(train)
-    return SiteData(name, entry.role, train, val, test, fit)
+    on the train part; ``pp_fed`` is left for ``prepare_sites``. A cohort
+    whose feature widths are not the config's, or that cannot be split or
+    fitted, is a ConfigError naming the site."""
+    spec = cfg.features
+    for kind, held, want in (
+            ("continuous", cohort.continuous.shape[1], spec.n_continuous),
+            ("binary", cohort.binary.shape[1], spec.n_binary),
+            ("categorical", cohort.categorical.shape[1], len(spec.hc_vocab_sizes))):
+        if held != want:
+            raise ConfigError(f"site {name!r}: its cohort has {held} {kind} "
+                              f"features where the config has {want}; "
+                              "run `fedsurg generate` again")
+    try:
+        train, val, test = chronological_split(cohort)
+        fit = Preprocessor(spec.hc_vocab_sizes,
+                           cfg.site(name).config.surgeon_vocab_size).fit(train)
+    except (SplitError, FitError) as exc:
+        raise ConfigError(f"site {name!r}: {exc}") from exc
+    return SiteData(name, train, val, test, fit)
 
 
 def prepare_sites(cfg: ExperimentConfig, cohorts: dict[str, Cohort]

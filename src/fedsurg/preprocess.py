@@ -3,11 +3,9 @@
 The Preprocessor follows the fit/transform idiom: percentile clipping,
 median imputation and min-max scaling are learned from the training
 cohort only. A fit is five float64 arrays (``CONTINUOUS_FIELDS``) and the
-codes seen; ``to_json`` writes it as a format-1 audit artifact that nothing
-reads back, with an empty ``hard_bounds`` (a retired option). In federated
-mode a site's fit is ``rescaled`` to the range ``shared_scaler`` builds from
-per-site (min, max) summaries; clip bounds, medians and category maps stay
-site-local.
+codes seen. In federated mode a site's fit is ``rescaled`` to the range
+``shared_scaler`` builds from per-site (min, max) summaries; clip bounds,
+medians and category maps stay site-local.
 
 All of it works on whole columns: the split orders rows with ``lexsort``,
 and ``fit`` reads every percentile and median off one column-wise sort with
@@ -20,7 +18,6 @@ its partition orders the two zeros.)
 from __future__ import annotations
 
 import copy
-import json
 
 import numpy as np
 
@@ -28,8 +25,7 @@ from .cohort import Cohort
 from .model import Batch
 from .wire import quantize32
 
-FORMAT_VERSION = 1
-# the continuous fit, one float64 array each, in the artifact's key order
+# the continuous fit, one float64 array each
 CONTINUOUS_FIELDS = ("clip_low", "clip_high", "median", "scale_min", "scale_max")
 
 
@@ -195,21 +191,6 @@ class Preprocessor:
             surgeon=_lookup(cohort.surgeon_id, self.surgeon_seen,
                             self.surgeon_vocab_size + 1),
         )
-
-    # --- audit artifact ---------------------------------------------------
-
-    def to_json(self) -> str:
-        columns = zip(*(v.tolist() for v in self._stats()))
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "hc_vocab_sizes": list(self.hc_vocab_sizes),
-            "surgeon_vocab_size": self.surgeon_vocab_size,
-            "hard_bounds": {},
-            "continuous": [dict(zip(CONTINUOUS_FIELDS, c)) for c in columns],
-            "cat_seen": [sorted(s) for s in self.cat_seen],
-            "surgeon_seen": sorted(self.surgeon_seen),
-        }
-        return json.dumps(doc, indent=1)
 
 
 def shared_scaler(per_site: list[tuple[np.ndarray, np.ndarray]]

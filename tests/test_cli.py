@@ -40,6 +40,17 @@ def _config(tmp_path):
     return path, tmp_path / "out"
 
 
+def _set(cfg_path, path, value):
+    """Set the config key at ``path`` (section names and list indices)."""
+    doc = yaml.safe_load(cfg_path.read_text())
+    *parents, key = path
+    part = doc
+    for step in parents:
+        part = part[step]
+    part[key] = value
+    cfg_path.write_text(yaml.safe_dump(doc))
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("cli")
@@ -69,7 +80,10 @@ def test_train_artifacts(pipeline):
                  "scaffold"):
         assert (out / "checkpoints" / f"{name}.ckpt").exists(), name
         assert (out / "history" / f"{name}.csv").exists(), name
-    assert (out / "checkpoints" / "central_preprocessor.json").exists()
+    # the central model's pooled fit is rebuilt from the cohorts, not saved
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == sorted(
+        f"{name}.ckpt" for name in ("local_a", "local_b", "central", "fedavg",
+                                    "fedprox", "scaffold"))
 
 
 def test_evaluate_artifacts(pipeline):
@@ -85,15 +99,13 @@ def test_evaluate_artifacts(pipeline):
     assert (out / "reports" / "report.csv").exists()
 
 
-def test_central_is_scored_through_its_saved_preprocessor(pipeline):
+def test_central_is_scored_through_the_pooled_fit(pipeline):
     cfg_path, out = pipeline
     cfg = exp.load_config(cfg_path)
     sites = exp.prepare_sites(cfg, {
         n: cohort_from_csv(out / "cohorts" / f"{n}.csv") for n in "abx"})
-    # the pooled fit of the development sites, as `train` saved it
+    # the pooled fit of the development sites, as `train` fits it
     pp = exp.central_preprocessor(cfg, sites)
-    assert ((out / "checkpoints" / "central_preprocessor.json").read_text()
-            == pp.to_json())
     params, _ = load_checkpoint(out / "checkpoints" / "central.ckpt", cfg.arch)
     for site in ("a", "b", "x"):
         test = sites[site].test
@@ -105,36 +117,14 @@ def test_central_is_scored_through_its_saved_preprocessor(pipeline):
         assert np.array_equal(scores, predict(params, cfg.arch, fm))
 
 
-def _json_edit(edit):
-    """``edit`` applied to the parsed text, as new JSON text."""
-    def apply(text):
-        doc = json.loads(text)
-        edit(doc)
-        return json.dumps(doc)
-    return apply
-
-
-@pytest.mark.parametrize("edit", [
-    None,
-    lambda text: '{"format_version": 1}',
-    lambda text: text[:len(text) // 2],
-    lambda text: text.replace('"median"', '"mid"', 1),
-    lambda text: text.replace('"hard_bounds": {}', '"hard_bounds": {"0": [0, 1]}'),
-    _json_edit(lambda doc: doc.update(hc_vocab_sizes=[10, 6])),
-    _json_edit(lambda doc: doc["continuous"].pop()),
-], ids=["deleted", "only-the-version", "truncated", "missing-field",
-        "hard-bounds", "other-vocab-sizes", "other-continuous-width"])
-def test_evaluate_does_not_read_the_central_preprocessor(pipeline, tmp_path,
-                                                         edit):
+def test_evaluate_does_not_read_the_central_preprocessor(pipeline, tmp_path):
     _, trained = pipeline
     cfg_path, out = _config(tmp_path)
     shutil.copytree(trained, out,
                     ignore=shutil.ignore_patterns("scores", "reports"))
-    path = out / "checkpoints" / "central_preprocessor.json"
-    if edit is None:
-        path.unlink()
-    else:
-        path.write_text(edit(path.read_text()))
+    # an older `train` wrote this file; evaluate rebuilds the pooled fit
+    (out / "checkpoints" / "central_preprocessor.json").write_text(
+        '{"format_version": 1, "continuous": [')
     assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
     assert cli.main(["compare", "--config", str(cfg_path)]) == 0
     for sub in ("scores", "reports"):
@@ -215,6 +205,48 @@ def test_malformed_cohort_csv_stops_with_one_line(pipeline, tmp_path, damage,
     assert isinstance(message, str) and "\n" not in message
     assert message.startswith(f"unreadable cohort file {path}: ")
     assert message.endswith("; run `fedsurg generate` again")
+
+
+def _no_connection(host, port):
+    raise AssertionError("serve-site connected before checking its cohort")
+
+
+@pytest.mark.parametrize("command", [
+    ["train"], ["evaluate"], ["serve-site", "--site", "a"]],
+    ids=["train", "evaluate", "serve-site"])
+@pytest.mark.parametrize("key,value,held,kind", [
+    ("n_continuous", 5, 6, "continuous"),
+    ("n_binary", 4, 3, "binary"),
+    ("hc_vocab_sizes", [10], 2, "categorical"),
+], ids=["continuous", "binary", "categorical"])
+def test_cohort_of_other_feature_widths_exits_2(pipeline, tmp_path, capsys,
+                                                monkeypatch, command, key,
+                                                value, held, kind):
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+    _set(cfg_path, ("features", key), value)
+    want = len(value) if isinstance(value, list) else value
+    monkeypatch.setattr(cli, "connect_socket", _no_connection)
+    capsys.readouterr()
+    assert cli.main([*command, "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: site 'a': its cohort has {held} {kind} features where the "
+        f"config has {want}; run `fedsurg generate` again\n")
+    for sub in ("checkpoints", "history", "scores"):
+        assert not list((out / sub).iterdir()), sub
+
+
+def test_site_too_small_to_split_exits_2(tmp_path, capsys):
+    cfg_path, out = _config(tmp_path)
+    _set(cfg_path, ("sites", 2, "n_patients"), 2)
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    # the external site x: no paradigm of `train` reads it, evaluate does
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: site 'x': need at least 3 patients to split\n")
+    assert not list((out / "scores").iterdir())
 
 
 def test_train_fits_each_site_once(tmp_path, monkeypatch):
@@ -324,13 +356,7 @@ def test_bad_config_exits_nonzero(tmp_path):
 def test_out_of_range_config_value_exits_2(tmp_path, capsys, path, value,
                                            where):
     cfg_path, out = _config(tmp_path)
-    doc = yaml.safe_load(cfg_path.read_text())
-    *parents, key = path
-    part = doc
-    for step in parents:
-        part = part[step]
-    part[key] = value
-    cfg_path.write_text(yaml.safe_dump(doc))
+    _set(cfg_path, path, value)
     assert cli.main(["generate", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: ")

@@ -133,21 +133,19 @@ def test_calibrate_intercept_widens_bracket_for_rare_targets():
                        target_prevalence=(0.02, 0.01, 0.01, 0.001),
                        covariate_shift=1.5, concept_shift=0.15,
                        scale_shift=0.3, surgeon_effect=0.5)
-    cohort, report = C.generate_site(cfg, spec, truth, 24, mc_samples=20_000)
+    _, report = C.generate_site(cfg, spec, truth, 24, mc_samples=20_000)
     assert report.intercepts[3] < -20.0
-    assert len(cohort) == report.n_encounters
     scores = np.random.default_rng(1).normal(30.0, 1.0, 20_000)
     b = C.calibrate_intercept(0.01, scores)
     assert expit(scores + b).mean() == pytest.approx(0.01, abs=1e-9)
 
 
 def test_prevalence_near_target():
-    cohort, report = _gen(n_patients=3000)
+    cohort, _ = _gen(n_patients=3000)
     prev = cohort.prevalence()
     # finite-sample band, looser than the acceptance gate at n=50k
     for k, target in enumerate((0.15, 0.06, 0.10, 0.02)):
         assert abs(prev[k] - target) < 0.03, C.OUTCOME_NAMES[k]
-    assert tuple(prev) == tuple(report.prevalence)
 
 
 def test_missingness_blanks_features_only():

@@ -1,7 +1,5 @@
 """Chronological split properties and the fit/transform preprocessor."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -129,12 +127,19 @@ def test_unfitted_preprocessor_raises(cohort):
         pp.fit(cohort.take([]))
 
 
+def _fit_state(pp):
+    """Everything a fit holds, with each array as its bytes."""
+    return (pp.hc_vocab_sizes, pp.surgeon_vocab_size,
+            {k: v.tobytes() for k, v in pp.continuous.items()},
+            [sorted(s) for s in pp.cat_seen], sorted(pp.surgeon_seen))
+
+
 def test_rescaled_changes_scaling_only(cohort):
     pp1 = P.Preprocessor(SPEC.hc_vocab_sizes).fit(cohort)
     mins, maxs = pp1.scaler_stats()
-    before = pp1.to_json()
+    before = _fit_state(pp1)
     pp2 = pp1.rescaled(mins - 1.0, maxs + 1.0)
-    assert pp1.to_json() == before  # the fit itself is unchanged
+    assert _fit_state(pp1) == before  # the fit itself is unchanged
     m2, x2 = pp2.scaler_stats()
     assert np.array_equal(m2, mins - 1.0) and np.array_equal(x2, maxs + 1.0)
     for k in ("clip_low", "clip_high", "median"):
@@ -192,24 +197,6 @@ def test_shared_scaler_equals_pooled_minmax():
         assert mins[i] == np.float32(pooled.min())
         assert maxs[i] == np.float32(pooled.max())
 
-
-def test_json_holds_the_fit_exactly(cohort):
-    for pp in (P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort),
-               P.Preprocessor(SPEC.hc_vocab_sizes, 50).fit(cohort).rescaled(
-                   np.zeros(SPEC.n_continuous), np.ones(SPEC.n_continuous))):
-        doc = json.loads(pp.to_json())
-        assert doc["format_version"] == P.FORMAT_VERSION
-        assert doc["hard_bounds"] == {}
-        assert doc["hc_vocab_sizes"] == list(SPEC.hc_vocab_sizes)
-        assert doc["surgeon_vocab_size"] == 50
-        for field in P.CONTINUOUS_FIELDS:
-            values = np.array([c[field] for c in doc["continuous"]])
-            assert values.tobytes() == pp.continuous[field].tobytes(), field
-        assert doc["cat_seen"] == [sorted(s) for s in pp.cat_seen]
-        assert doc["surgeon_seen"] == sorted(pp.surgeon_seen)
-
-
-# --- record-by-record oracles ------------------------------------------------
 
 def _split_oracle(cohort, fractions=(0.60, 0.10, 0.30)):
     """Encounter ids of train/val/test, patient group by patient group."""
