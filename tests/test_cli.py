@@ -117,14 +117,56 @@ def test_central_is_scored_through_the_pooled_fit(pipeline):
         assert np.array_equal(scores, predict(params, cfg.arch, fm))
 
 
-def test_evaluate_does_not_read_the_central_preprocessor(pipeline, tmp_path):
-    _, trained = pipeline
+def _old_central_preprocessor(cfg_path, out):
+    """The format-1 ``central_preprocessor.json`` an older ``train`` wrote."""
+    cfg = exp.load_config(cfg_path)
+    sites = exp.prepare_sites(cfg, {
+        n: cohort_from_csv(out / "cohorts" / f"{n}.csv") for n in "abx"})
+    pp = exp.central_preprocessor(cfg, sites)
+    fields = ("clip_low", "clip_high", "median", "scale_min", "scale_max")
+    columns = zip(*(pp.continuous[k].tolist() for k in fields))
+    return json.dumps({
+        "format_version": 1,
+        "hc_vocab_sizes": list(pp.hc_vocab_sizes),
+        "surgeon_vocab_size": pp.surgeon_vocab_size,
+        "hard_bounds": {},
+        "continuous": [dict(zip(fields, c)) for c in columns],
+        "cat_seen": [sorted(s) for s in pp.cat_seen],
+        "surgeon_seen": sorted(pp.surgeon_seen),
+    }, indent=1)
+
+
+def _json_edit(edit):
+    """``edit`` applied to the parsed text, as new JSON text."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda text: '{"format_version": 1}',
+    lambda text: text[:len(text) // 2],
+    lambda text: text.replace('"median"', '"mid"', 1),
+    lambda text: text.replace('"hard_bounds": {}', '"hard_bounds": {"0": [0, 1]}'),
+    _json_edit(lambda doc: doc.update(hc_vocab_sizes=[10, 6])),
+    _json_edit(lambda doc: doc["continuous"].pop()),
+], ids=["deleted", "only-the-version", "truncated", "missing-field",
+        "hard-bounds", "other-vocab-sizes", "other-continuous-width"])
+def test_evaluate_does_not_read_the_central_preprocessor(pipeline, tmp_path,
+                                                         edit):
+    trained_cfg, trained = pipeline
     cfg_path, out = _config(tmp_path)
     shutil.copytree(trained, out,
                     ignore=shutil.ignore_patterns("scores", "reports"))
-    # an older `train` wrote this file; evaluate rebuilds the pooled fit
-    (out / "checkpoints" / "central_preprocessor.json").write_text(
-        '{"format_version": 1, "continuous": [')
+    # train writes no such file; an older train did, and evaluate must
+    # rebuild the pooled fit whatever the file holds
+    path = out / "checkpoints" / "central_preprocessor.json"
+    assert not path.exists()
+    if edit is not None:
+        path.write_text(edit(_old_central_preprocessor(trained_cfg, trained)))
     assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
     assert cli.main(["compare", "--config", str(cfg_path)]) == 0
     for sub in ("scores", "reports"):
