@@ -4,6 +4,10 @@ Subcommands cover the full pipeline: cohort generation, training under
 the local / central / federated paradigms, evaluation with bootstrap
 confidence intervals, paradigm comparison, and the two socket-transport
 roles (one coordinator and one process per participating site).
+
+`train` runs each model in a forked worker process, as many at once as
+there are usable CPUs, so every process gets one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise; that is set before numpy loads.
 """
 
 from __future__ import annotations
@@ -12,15 +16,20 @@ import argparse
 import json
 import logging
 import math
+import os
+import resource
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
+# before the package's modules load numpy, and so OpenBLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
 from .federation import ALGORITHMS, FederationError, coordinate
 from .model import load_checkpoint, param_shapes, predict, save_checkpoint
+from .units import UnitError, UnitPool, usable_cpus
 from .wire import connect_socket, serve_sockets
 
 log = logging.getLogger("fedsurg")
@@ -88,17 +97,32 @@ def cmd_train(cfg: exp.ExperimentConfig, args) -> int:
     sites = exp.prepare_sites(cfg, _load_cohorts(out, cfg.development_sites))
     paradigms = (("local", "central", "federated") if args.paradigm == "all"
                  else (args.paradigm,))
-    if "local" in paradigms:
-        for name, result in exp.run_local_paradigm(cfg, sites).items():
-            _save_single(out, f"local_{name}", cfg.arch, result)
-    if "central" in paradigms:
-        result, _ = exp.run_central_paradigm(cfg, sites)
-        _save_single(out, "central", cfg.arch, result)
-    if "federated" in paradigms:
-        algos = cfg.algorithms if args.algo == "all" else (args.algo,)
+    algos = (() if "federated" not in paradigms
+             else cfg.algorithms if args.algo == "all" else (args.algo,))
+    results = {}
+    # Every unit is submitted first, in the order the checkpoints are
+    # written, so that the workers keep the CPUs busy; each paradigm then
+    # waits for its own units. Nothing is written unless every unit succeeded.
+    with UnitPool(usable_cpus()) as pool:
+        if "local" in paradigms:
+            for name in cfg.development_sites:
+                pool.submit(f"local_{name}", exp.local_unit, cfg, sites[name])
+        if "central" in paradigms:
+            pool.submit("central", exp.central_unit, cfg, sites)
         for algo in algos:
-            result = exp.run_federated_paradigm(cfg, sites, algo)
-            _save_single(out, algo, cfg.arch, result)
+            pool.submit(algo, exp.federated_unit, cfg, sites, algo)
+        if "local" in paradigms:
+            for name, result in exp.run_local_paradigm(cfg, sites).items():
+                results[f"local_{name}"] = result
+        if "central" in paradigms:
+            results["central"], _ = exp.run_central_paradigm(cfg, sites)
+        for algo in algos:
+            results[algo] = exp.run_federated_paradigm(cfg, sites, algo)
+    for name, result in results.items():
+        _save_single(out, name, cfg.arch, result)
+    log.info("trained %d models in worker processes, %d at once; "
+             "largest worker peak RSS %.1f MB", len(results), pool.slots,
+             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
     print(f"checkpoints written to {out / 'checkpoints'}")
     return 0
 
@@ -298,6 +322,10 @@ def main(argv=None) -> int:
         # a cohort on disk that does not fit the config
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnitError as exc:
+        # a model that failed to train; no checkpoint or history is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

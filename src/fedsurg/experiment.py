@@ -28,6 +28,7 @@ from .model import (ArchConfig, Batch, ModelParams, init_params, local_train,
                     network, predict)
 from .preprocess import (FitError, Preprocessor, SplitError, chronological_split,
                          shared_scaler)
+from .units import run_unit
 
 
 class ConfigError(ValueError):
@@ -271,43 +272,68 @@ def _names_rng(seed: int, names: tuple[str, ...]) -> np.random.Generator:
         [seed] + [zlib.crc32(n.encode()) for n in sorted(names)])
 
 
+class TrainingError(RuntimeError):
+    pass
+
+
 def train_single(arch: ArchConfig, train_fm: Batch, val_fm: Batch,
                  cfg: TrainConfig, names: tuple[str, ...]) -> TrainResult:
     """One epoch per round of ``run_rounds``, each scored on ``val_fm``.
 
     The RNG stream is keyed by (seed, participating site names), so
     central training on a single site is bit-identical to local training
-    on that site.
+    on that site. An epoch that ends with a parameter that is not finite
+    is a TrainingError naming the sites.
     """
     rng = _names_rng(cfg.seed, names)
     label = "+".join(sorted(names))
 
     def one_epoch(t: int, params: ModelParams):
         rep = local_train(params, network(arch), train_fm, cfg, rng)
+        if not all(np.isfinite(v).all() for v in rep.params.values()):
+            raise TrainingError(f"training on {label} left parameters that "
+                                f"are not finite after epoch {t}")
         val = validation_auroc(predict(rep.params, arch, val_fm), val_fm.labels)
         return rep.params, val, {label: rep.mean_loss}, rep.params
 
     return run_rounds(init_params(arch, cfg.seed), cfg, one_epoch)
 
 
-def run_local_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
-                       ) -> dict[str, TrainResult]:
-    out = {}
-    for name in cfg.development_sites:
-        sd = sites[name]
-        out[name] = train_single(
-            cfg.arch, sd.pp_local.transform(sd.train),
-            sd.pp_local.transform(sd.val), cfg.train, (name,))
-    return out
+# Each model is one unit: its transforms and training, run through
+# ``run_unit`` so that `train` can run the units in worker processes.
+
+def local_unit(cfg: ExperimentConfig, sd: SiteData) -> TrainResult:
+    return train_single(cfg.arch, sd.pp_local.transform(sd.train),
+                        sd.pp_local.transform(sd.val), cfg.train, (sd.name,))
 
 
-def run_central_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
-                         ) -> tuple[TrainResult, Preprocessor]:
+def central_unit(cfg: ExperimentConfig, sites: dict[str, SiteData]
+                 ) -> tuple[TrainResult, Preprocessor]:
+    """The central model and the pooled fit it was trained through."""
     pp = central_preprocessor(cfg, sites)
     names = tuple(cfg.development_sites)
     train_fm = concat_batches([pp.transform(sites[n].train) for n in names])
     val_fm = concat_batches([pp.transform(sites[n].val) for n in names])
     return train_single(cfg.arch, train_fm, val_fm, cfg.train, names), pp
+
+
+def federated_unit(cfg: ExperimentConfig, sites: dict[str, SiteData],
+                   algo: str) -> TrainResult:
+    workers = {name: site_worker(cfg, sites[name], algo)
+               for name in cfg.development_sites}
+    return run_federation_inprocess(cfg.arch, algo,
+                                    federated_train_config(cfg, algo), workers)
+
+
+def run_local_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
+                       ) -> dict[str, TrainResult]:
+    return {name: run_unit(f"local_{name}", local_unit, cfg, sites[name])
+            for name in cfg.development_sites}
+
+
+def run_central_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
+                         ) -> tuple[TrainResult, Preprocessor]:
+    return run_unit("central", central_unit, cfg, sites)
 
 
 def federated_train_config(cfg: ExperimentConfig, algo: str) -> TrainConfig:
@@ -323,10 +349,7 @@ def site_worker(cfg: ExperimentConfig, sd: SiteData, algo: str) -> SiteWorker:
 
 def run_federated_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
                            algo: str) -> TrainResult:
-    workers = {name: site_worker(cfg, sites[name], algo)
-               for name in cfg.development_sites}
-    return run_federation_inprocess(cfg.arch, algo,
-                                    federated_train_config(cfg, algo), workers)
+    return run_unit(algo, federated_unit, cfg, sites, algo)
 
 
 # --- evaluation -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,19 @@ def federate_traced(arch, algo, cfg, workers):
     trace = channels[0].sent[1:] + [result.final_params]
     assert len(trace) == len(result.history)
     return result, trace
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the worker processes forked while the test runs."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -11,8 +13,9 @@ import yaml
 from fedsurg import cli
 from fedsurg import experiment as exp
 from fedsurg.cohort import cohort_from_csv
-from fedsurg.model import (init_params, load_checkpoint, predict,
-                           save_checkpoint)
+from fedsurg.federation import SiteWorker
+from fedsurg.model import (init_params, load_checkpoint, params_digest,
+                           predict, save_checkpoint)
 from fedsurg.preprocess import Preprocessor
 from fedsurg.wire import Hello, Shutdown
 
@@ -296,15 +299,19 @@ def test_train_fits_each_site_once(tmp_path, monkeypatch):
     assert cli.main(["generate", "--config", str(cfg_path)]) == 0
     sites = exp.prepare_sites(exp.load_config(cfg_path), {
         n: cohort_from_csv(out / "cohorts" / f"{n}.csv") for n in "abx"})
-    fitted = []
+    # each fit appends a line to one file, so that the fits of the worker
+    # processes `train` forks are counted with those of this process
+    log = tmp_path / "fits"
     fit = Preprocessor.fit
 
     def counting(self, train):
-        fitted.append(len(train))
+        with open(log, "a") as fh:
+            fh.write(f"{len(train)}\n")
         return fit(self, train)
 
     monkeypatch.setattr(Preprocessor, "fit", counting)
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    fitted = [int(n) for n in log.read_text().split()]
     # one fit per development site (a, b), none of the external site x, and
     # one of the pooled central train split; the three federated runs reuse
     # the development sites' fits
@@ -489,3 +496,135 @@ def test_serve_coordinator_failure_is_one_line_and_no_checkpoint(tmp_path,
     assert closed == [True]
     assert not list((out / "checkpoints").iterdir())
     assert not list((out / "history").iterdir())
+
+
+# --- `train` runs each model as a unit in a forked worker process ------------
+
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        # no such child any more: it has ended and been waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _assert_wrote_no_model(out):
+    for sub in ("checkpoints", "history"):
+        assert not list((out / sub).iterdir()), sub
+
+
+def test_train_unit_failure_is_one_line(pipeline, tmp_path, capsys,
+                                        monkeypatch, forked):
+    # ClientFailure(client_id, cause) cannot be rebuilt by pickle from its
+    # args, so the failure crosses from the worker as text
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+
+    def failing(self, msg):
+        raise ValueError("no gradient today")
+
+    monkeypatch.setattr(SiteWorker, "_local_round", failing)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path)]) == 1
+    # each federated unit fails; the first in checkpoint order is reported
+    assert capsys.readouterr().err == (
+        "error: fedavg: ClientFailure: client 'a' failed: no gradient today\n")
+    _assert_wrote_no_model(out)
+    _assert_reaped(forked)
+
+
+def _exits_without_result(*args):
+    os._exit(3)
+
+
+def _killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("unit,end", [
+    (_exits_without_result, "exited with code 3"),
+    (_killed, "was killed by SIGKILL"),
+], ids=["exit", "signal"])
+def test_train_worker_that_dies_is_one_line(pipeline, tmp_path, capsys,
+                                            monkeypatch, forked, unit, end):
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+    monkeypatch.setattr(exp, "central_unit", unit)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: central: WorkerDied: the worker process {end} and sent no "
+        "result\n")
+    _assert_wrote_no_model(out)
+    _assert_reaped(forked)
+
+
+def test_train_with_non_finite_weights_writes_no_checkpoint(tmp_path, capsys,
+                                                           forked):
+    # lr 1e300 on one 80-patient site once wrote local and central
+    # checkpoints of non-finite tensors, then ended in a traceback
+    cfg_path, out = _config(tmp_path)
+    _set(cfg_path, ("train", "lr"), 1.0e+300)
+    _set(cfg_path, ("sites",), [{"name": "s0", "role": "development",
+                                 "n_patients": 80,
+                                 "target_prevalence": [0.2, 0.1, 0.15, 0.05]}])
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: local_s0: TrainingError: training on s0 left parameters that "
+        "are not finite after epoch 1\n")
+    assert not list(out.rglob("*.ckpt"))
+    _assert_wrote_no_model(out)
+    _assert_reaped(forked)
+
+
+def _trained_results(cfg_path, monkeypatch, slots):
+    """What `train` gets back from each paradigm with ``slots`` workers."""
+    seen = {}
+    monkeypatch.setattr(cli, "usable_cpus", lambda: slots)
+    for name in ("run_local_paradigm", "run_central_paradigm",
+                 "run_federated_paradigm"):
+        def kept(*args, _fn=getattr(exp, name), _name=name):
+            seen[_name, *args[2:]] = result = _fn(*args)
+            return result
+        monkeypatch.setattr(exp, name, kept)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    monkeypatch.undo()
+    return seen
+
+
+def _summary(result):
+    scaffold = result.scaffold
+    return (params_digest(result.best_params), result.history,
+            result.best_round,
+            scaffold and params_digest(scaffold.server_control),
+            scaffold and {c: params_digest(p)
+                          for c, p in scaffold.client_controls.items()})
+
+
+def test_train_results_do_not_depend_on_worker_slots(pipeline, tmp_path,
+                                                     monkeypatch):
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+    one = _trained_results(cfg_path, monkeypatch, 1)
+    two = _trained_results(cfg_path, monkeypatch, 2)
+    assert sorted(one) == sorted(two) == sorted(
+        [("run_local_paradigm",), ("run_central_paradigm",)]
+        + [("run_federated_paradigm", a) for a in exp.ALGORITHMS])
+    for key in one:
+        a, b = one[key], two[key]
+        if key == ("run_local_paradigm",):
+            assert a.keys() == b.keys() == {"a", "b"}
+            a, b = [a[n] for n in "ab"], [b[n] for n in "ab"]
+        elif key == ("run_central_paradigm",):
+            assert ([s.tobytes() for s in a[1].scaler_stats()]
+                    == [s.tobytes() for s in b[1].scaler_stats()])
+            a, b = [a[0]], [b[0]]
+        else:
+            a, b = [a], [b]
+        assert [_summary(r) for r in a] == [_summary(r) for r in b], key
+    assert one["run_federated_paradigm", "scaffold"].scaffold is not None
