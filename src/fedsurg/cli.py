@@ -5,9 +5,12 @@ the local / central / federated paradigms, evaluation with bootstrap
 confidence intervals, paradigm comparison, and the two socket-transport
 roles (one coordinator and one process per participating site).
 
-`train` runs each model in a forked worker process, as many at once as
-there are usable CPUs, so every process gets one BLAS thread unless
-``OPENBLAS_NUM_THREADS`` says otherwise; that is set before numpy loads.
+`train` runs each model, and `evaluate` the statistics and score file of
+each (model, site) cell, as a unit in long-lived forked worker processes,
+one per usable CPU. Every process gets one BLAS thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise (that is set before numpy loads),
+and each worker caps its BLAS threads at its share of the CPUs whatever
+that says.
 """
 
 from __future__ import annotations
@@ -154,29 +157,37 @@ def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     checkpoints = _model_checkpoints(cfg, out)
     central_pp = (exp.central_preprocessor(cfg, sites)
                   if "central" in checkpoints else None)
-    cells = {}
-    for site_name, sd in sorted(sites.items()):
-        # Each model scores through the preprocessor it was trained with,
-        # rebuilt from the cohorts as `train` fits it: the scored site's local
-        # fit for local models, the pooled fit of the development sites for
-        # central, the shared scaler for federated models. Each split is
-        # transformed once per preprocessor; one site's matrices live at a time.
-        features = {}
-        for model_name, params in sorted(checkpoints.items()):
-            pp = (sd.pp_local if model_name.startswith("local_")
-                  else central_pp if model_name == "central" else sd.pp_fed)
-            if pp not in features:
-                features[pp] = (pp.transform(sd.test), pp.transform(sd.val))
-            test_fm, val_fm = features[pp]
-            probs = predict(params, cfg.arch, test_fm)
-            val_probs = predict(params, cfg.arch, val_fm)
-            exp.write_scores_csv(
-                out / "scores" / f"{model_name}__{site_name}.csv",
-                sd.test.encounter_id, probs, test_fm.labels)
-            cells[model_name, site_name] = exp.evaluate_scores(
-                model_name, site_name, probs, test_fm.labels,
-                val_probs, val_fm.labels, cfg.n_boot, cfg.seed)
-            log.info("evaluated %s on %s", model_name, site_name)
+    units = []
+    # Each (model, site) cell is one unit, submitted as soon as its
+    # probabilities exist: a worker computes its statistics and then writes
+    # its score file. The report is written once every cell has succeeded.
+    with UnitPool(usable_cpus()) as pool:
+        for site_name, sd in sorted(sites.items()):
+            # Each model scores through the preprocessor it was trained
+            # with, rebuilt from the cohorts as `train` fits it: the scored
+            # site's local fit for local models, the pooled fit of the
+            # development sites for central, the shared scaler for federated
+            # models. Each split is transformed once per preprocessor; one
+            # site's matrices live at a time.
+            features = {}
+            for model_name, params in sorted(checkpoints.items()):
+                pp = (sd.pp_local if model_name.startswith("local_")
+                      else central_pp if model_name == "central" else sd.pp_fed)
+                if pp not in features:
+                    features[pp] = (pp.transform(sd.test), pp.transform(sd.val))
+                test_fm, val_fm = features[pp]
+                unit = (model_name, site_name,
+                        predict(params, cfg.arch, test_fm), test_fm.labels,
+                        predict(params, cfg.arch, val_fm), val_fm.labels,
+                        cfg.n_boot, cfg.seed,
+                        out / "scores" / f"{model_name}__{site_name}.csv",
+                        sd.test.encounter_id)
+                pool.submit(f"{model_name}@{site_name}", exp.score_unit, *unit)
+                units.append(unit)
+        cells = {}
+        for unit in units:
+            cells[unit[:2]] = exp.evaluate_scores(*unit)
+            log.info("evaluated %s on %s", *unit[:2])
     exp.write_report(out / "reports",
                      [c for key in sorted(cells) for c in cells[key]])
     print(f"report written to {out / 'reports' / 'report.json'}")
@@ -323,7 +334,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnitError as exc:
-        # a model that failed to train; no checkpoint or history is written
+        # a model that failed to train, or a cell that failed to score; no
+        # checkpoint or history, or no report, is written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

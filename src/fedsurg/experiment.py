@@ -387,9 +387,24 @@ class EvalCell:
 def evaluate_scores(model: str, site: str, probs: np.ndarray,
                     labels: np.ndarray, val_probs: np.ndarray | None,
                     val_labels: np.ndarray | None, n_boot: int,
-                    seed: int) -> list[EvalCell]:
+                    seed: int, scores_path: Path | None = None,
+                    encounter_ids: np.ndarray | None = None) -> list[EvalCell]:
     """Per-outcome metrics with bootstrap CIs; threshold picked on the
-    validation split (Youden) and applied to the test split."""
+    validation split (Youden) and applied to the test split. With
+    ``scores_path``, the score file of ``encounter_ids`` is written once
+    the cells are computed. One unit, ``<model>@<site>``, run through
+    ``run_unit`` so that `evaluate` can score its cells in worker
+    processes."""
+    return run_unit(f"{model}@{site}", score_unit, model, site, probs, labels,
+                    val_probs, val_labels, n_boot, seed, scores_path,
+                    encounter_ids)
+
+
+def score_unit(model: str, site: str, probs: np.ndarray, labels: np.ndarray,
+               val_probs: np.ndarray | None, val_labels: np.ndarray | None,
+               n_boot: int, seed: int, scores_path: Path | None = None,
+               encounter_ids: np.ndarray | None = None) -> list[EvalCell]:
+    """What ``evaluate_scores`` runs as a unit."""
     cells = []
     for k, outcome in enumerate(OUTCOME_NAMES):
         y = labels[:, k]
@@ -422,6 +437,8 @@ def evaluate_scores(model: str, site: str, probs: np.ndarray,
             ppv=thr.ppv if thr else None,
             npv=thr.npv if thr else None,
         ))
+    if scores_path is not None:
+        write_scores_csv(scores_path, encounter_ids, probs, labels)
     return cells
 
 

@@ -1,32 +1,51 @@
-"""Independent units of work in forked worker processes.
+"""Independent units of work in long-lived forked worker processes.
 
 A unit is one call ``fn(*args)`` under a name, such as one model's
-transforms and training. ``UnitPool`` forks a worker process per unit,
-at most ``slots`` at once, in the order the units were submitted; each
-worker sends its result back pickled over a pipe and exits. Every random
-stream of a unit is keyed by its own inputs, so a result does not depend
-on which process ran it or when.
+transforms and training, or the scoring of one model on one site.
+``UnitPool(slots)`` keeps at most ``slots`` worker processes, each forked
+on the first submit that finds no idle worker, and each runs many units,
+one at a time, in the order they were submitted. A unit's ``(fn, args)``
+is streamed into its worker's task pipe with ``pickle.dump``; its result
+comes back pickled and length-prefixed over the worker's result pipe.
+Every random stream of a unit is keyed by its own inputs, so a result
+does not depend on which process ran it or when.
 
 Inside ``with UnitPool(...)``, ``run_unit`` hands its call to the pool;
 outside, it calls ``fn(*args)`` in the calling process. Workers are
 forked, not spawned, so they start without a fresh interpreter's import
 cost; this needs Linux ``fork``, and forking happens only from the main
 thread, because a child forked from another thread inherits every lock
-the other threads hold.
+the other threads hold. Each worker caps numpy's OpenBLAS at its share
+of the usable CPUs, so that the workers do not oversubscribe them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import pickle
 import selectors
 import signal
+import struct
 import threading
 from contextvars import ContextVar
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
+
+import numpy as np
 
 _active: ContextVar["UnitPool | None"] = ContextVar("fedsurg_unit_pool",
                                                     default=None)
+
+# the byte length of a pickled result, ahead of it on the result pipe
+_LENGTH = struct.Struct("<Q")
+
+# the names numpy's bundled OpenBLAS builds give their thread setter
+_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 class UnitError(RuntimeError):
@@ -54,6 +73,24 @@ def run_unit(name: str, fn: Callable, *args) -> Any:
     return pool.run(name, fn, *args)
 
 
+@functools.cache
+def _blas_thread_setter() -> Callable[[int], Any] | None:
+    """The ``set_num_threads`` of the OpenBLAS bundled with numpy, if any."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _SET_THREADS:
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                return set_threads
+    return None
+
+
 def _died(status: int) -> str:
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
@@ -62,24 +99,57 @@ def _died(status: int) -> str:
     return f"the worker process exited with code {code} and sent no result"
 
 
+def _failure(exc: Exception) -> tuple[bool, tuple[str, str]]:
+    return False, (type(exc).__name__, str(exc))
+
+
+def _serve(tasks_fd: int, results_fd: int) -> None:
+    """A worker's life: run each unit read from the task pipe and send back
+    its outcome, until the pipe closes."""
+    with open(tasks_fd, "rb") as tasks, open(results_fd, "wb") as results:
+        while True:
+            try:
+                fn, args = pickle.load(tasks)
+            except EOFError:
+                return
+            try:
+                payload = pickle.dumps((True, fn(*args)),
+                                       protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                payload = pickle.dumps(_failure(exc))
+            results.write(_LENGTH.pack(len(payload)))
+            results.write(payload)
+            results.flush()
+
+
+@dataclass
+class _Worker:
+    pid: int
+    tasks: int  # the write end of its task pipe
+    results: int  # the read end of its result pipe
+    unit: str | None = None  # the unit it runs
+    received: bytearray = field(default_factory=bytearray)
+
+
 class UnitPool:
-    """Forked workers for submitted units, at most ``slots`` at once.
+    """At most ``slots`` forked workers that run the submitted units.
 
     ``result`` waits for one unit and returns its value or raises its
     ``UnitError``. Once a unit has failed no further unit is started, so
     the failure reported is always that of the first failing unit in
     submission order, when results are read in that order. Leaving the
-    ``with`` block kills and reaps every worker still running.
+    ``with`` block kills and reaps every worker.
     """
 
     def __init__(self, slots: int):
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         self.slots = slots
-        self._queued: list[str] = []
-        self._calls: dict[str, tuple[Callable, tuple]] = {}
-        # a running worker's pipe -> (its unit, its pid, the bytes read)
-        self._running: dict[int, tuple[str, int, bytearray]] = {}
+        self._fns: dict[str, Callable] = {}
+        # units not yet sent to a worker, in submission order
+        self._queued: dict[str, tuple[Callable, tuple]] = {}
+        # a worker's result pipe -> the worker
+        self._workers: dict[int, _Worker] = {}
         self._done: dict[str, tuple[bool, Any]] = {}
         self._failed = False
         self._selector = selectors.DefaultSelector()
@@ -94,29 +164,31 @@ class UnitPool:
         self.close()
 
     def submit(self, name: str, fn: Callable, *args) -> None:
-        if name in self._calls:
+        if name in self._fns:
             raise ValueError(f"unit {name!r} was already submitted")
-        self._calls[name] = (fn, args)
-        self._queued.append(name)
+        self._fns[name] = fn
+        self._queued[name] = (fn, args)
+        # take in what has arrived, so that a worker done meanwhile is idle
+        self._read(timeout=0)
         self._fill()
 
     def run(self, name: str, fn: Callable, *args) -> Any:
         """The result of unit ``name``, submitted now unless it already
         was, with the same function."""
-        if name not in self._calls:
+        if name not in self._fns:
             self.submit(name, fn, *args)
-        elif self._calls[name][0] is not fn:
+        elif self._fns[name] is not fn:
             raise ValueError(f"unit {name!r} was submitted with another "
                              "function")
         return self.result(name)
 
     def result(self, name: str) -> Any:
-        if name not in self._calls:
+        if name not in self._fns:
             raise KeyError(f"no unit {name!r} was submitted")
         while name not in self._done:
             if name in self._queued and self._failed:
                 # nothing more starts after a failure: report the first one
-                name = next(n for n in self._calls
+                name = next(n for n in self._fns
                             if n in self._done and not self._done[n][0])
                 break
             self._wait()
@@ -126,75 +198,125 @@ class UnitPool:
         return value
 
     def close(self) -> None:
-        """Kill and reap every worker still running."""
-        for fd, (_, pid, _) in list(self._running.items()):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            self._selector.unregister(fd)
-            os.close(fd)
-        self._running.clear()
+        """Kill and reap every worker."""
+        for worker in list(self._workers.values()):
+            worker.unit = None
+            self._kill(worker)
         self._queued.clear()
         self._selector.close()
 
     def _fill(self) -> None:
-        while self._queued and len(self._running) < self.slots \
-                and not self._failed:
-            self._start(self._queued.pop(0))
+        """Send queued units to idle workers, forking up to ``slots``."""
+        while self._queued and not self._failed:
+            worker = next((w for w in self._workers.values() if w.unit is None),
+                          None)
+            if worker is None:
+                if len(self._workers) == self.slots:
+                    return
+                worker = self._fork()
+            name = next(iter(self._queued))
+            self._send(worker, name, *self._queued.pop(name))
 
-    def _start(self, name: str) -> None:
+    def _fork(self) -> _Worker:
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("worker processes are forked only from the "
                                "main thread")
-        fn, args = self._calls[name]
-        read_fd, write_fd = os.pipe()
+        set_threads = _blas_thread_setter()
+        tasks_r, tasks_w = os.pipe()
+        results_r, results_w = os.pipe()
         pid = os.fork()
         if pid == 0:
             status = 1
             try:
-                os.close(read_fd)
-                try:
-                    payload = pickle.dumps((True, fn(*args)),
-                                           protocol=pickle.HIGHEST_PROTOCOL)
-                except Exception as exc:
-                    payload = pickle.dumps(
-                        (False, (type(exc).__name__, str(exc))))
-                with open(write_fd, "wb") as fh:
-                    fh.write(payload)
+                # hold no end of another worker's pipes, so that each
+                # worker sees its own task pipe close with the parent
+                for w in self._workers.values():
+                    os.close(w.tasks)
+                    os.close(w.results)
+                os.close(tasks_w)
+                os.close(results_r)
+                # a unit that calls run_unit runs the call in place
+                _active.set(None)
+                if set_threads is not None:
+                    set_threads(max(1, usable_cpus() // self.slots))
+                _serve(tasks_r, results_w)
                 status = 0
             finally:
                 # never return into the parent's code, nor run its exit hooks
                 os._exit(status)
-        os.close(write_fd)
-        self._running[read_fd] = (name, pid, bytearray())
-        self._selector.register(read_fd, selectors.EVENT_READ)
+        os.close(tasks_r)
+        os.close(results_w)
+        worker = _Worker(pid, tasks_w, results_r)
+        self._workers[results_r] = worker
+        self._selector.register(results_r, selectors.EVENT_READ)
+        return worker
+
+    def _send(self, worker: _Worker, name: str, fn: Callable,
+              args: tuple) -> None:
+        worker.unit = name
+        try:
+            with open(worker.tasks, "wb", closefd=False) as fh:
+                pickle.dump((fn, args), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        except BrokenPipeError:
+            pass  # the worker has died; its result pipe reports it
+        except Exception as exc:
+            # part of the unit may be in the pipe: the worker runs no more
+            worker.unit = None
+            self._kill(worker)
+            self._finish(name, _failure(exc))
 
     def _wait(self) -> None:
-        """Read from the running workers until one has finished."""
-        if not self._running:
+        """Read from the workers until a unit has finished or a worker has
+        ended, then start what may start."""
+        if not any(w.unit is not None for w in self._workers.values()):
             raise RuntimeError("no unit is running")
-        while True:
-            for key, _ in self._selector.select():
-                fd = key.fd
-                chunk = os.read(fd, 1 << 20)
-                name, pid, buf = self._running[fd]
-                if chunk:
-                    buf += chunk
-                    continue
-                self._selector.unregister(fd)
-                os.close(fd)
-                del self._running[fd]
-                _, status = os.waitpid(pid, 0)
-                self._done[name] = self._outcome(bytes(buf), status)
-                self._failed |= not self._done[name][0]
-                self._fill()
-                return
+        while not self._read(timeout=None):
+            pass
+        self._fill()
 
-    @staticmethod
-    def _outcome(payload: bytes, status: int) -> tuple[bool, Any]:
-        if status == 0 and payload:
+    def _read(self, timeout: float | None) -> bool:
+        """Take in what the workers have sent, waiting up to ``timeout``
+        seconds for any of it; whether a unit finished or a worker ended."""
+        ended = False
+        for key, _ in self._selector.select(timeout):
+            worker = self._workers[key.fd]
+            chunk = os.read(key.fd, 1 << 20)
+            if not chunk:
+                self._reap(worker)
+                ended = True
+                continue
+            worker.received += chunk
+            if len(worker.received) < _LENGTH.size:
+                continue
+            (size,) = _LENGTH.unpack_from(worker.received)
+            if len(worker.received) < _LENGTH.size + size:
+                continue
+            payload, worker.received = worker.received, bytearray()
             try:
                 # bytes this program's own forked worker wrote
-                return pickle.loads(payload)
-            except (pickle.UnpicklingError, EOFError):
-                pass
-        return False, ("WorkerDied", _died(status))
+                outcome = pickle.loads(memoryview(payload)[_LENGTH.size:])
+            except Exception as exc:
+                outcome = _failure(exc)
+            name, worker.unit = worker.unit, None
+            self._finish(name, outcome)
+            ended = True
+        return ended
+
+    def _finish(self, name: str, outcome: tuple[bool, Any]) -> None:
+        self._done[name] = outcome
+        self._failed |= not outcome[0]
+
+    def _kill(self, worker: _Worker) -> None:
+        os.kill(worker.pid, signal.SIGKILL)
+        self._reap(worker)
+
+    def _reap(self, worker: _Worker) -> None:
+        """Wait for a worker that has ended or been killed; the unit it
+        held, if any, fails."""
+        self._selector.unregister(worker.results)
+        os.close(worker.results)
+        os.close(worker.tasks)
+        del self._workers[worker.results]
+        _, status = os.waitpid(worker.pid, 0)
+        if worker.unit is not None:
+            self._finish(worker.unit, (False, ("WorkerDied", _died(status))))

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import signal
+import zlib
 
 import numpy as np
 import pytest
@@ -628,3 +629,58 @@ def test_train_results_do_not_depend_on_worker_slots(pipeline, tmp_path,
             a, b = [a], [b]
         assert [_summary(r) for r in a] == [_summary(r) for r in b], key
     assert one["run_federated_paradigm", "scaffold"].scaffold is not None
+
+
+# --- `evaluate` scores each (model, site) cell as a unit ------------------
+
+def _trained_copy(trained, tmp_path):
+    """A config whose output directory holds the pipeline's cohorts and
+    checkpoints, and nothing evaluate writes."""
+    tmp_path.mkdir(exist_ok=True)
+    cfg_path, out = _config(tmp_path)
+    for sub in ("cohorts", "checkpoints"):
+        shutil.copytree(trained / sub, out / sub)
+    return cfg_path, out
+
+
+def _tree(path):
+    return {p.relative_to(path): p.read_bytes()
+            for p in sorted(path.rglob("*")) if p.is_file()}
+
+
+def test_evaluate_cell_failure_is_one_line(pipeline, tmp_path, capsys,
+                                           monkeypatch, forked):
+    _, trained = pipeline
+    cfg_path, out = _trained_copy(trained, tmp_path)
+    bootstrap_ci = exp.metrics.bootstrap_ci
+    planted = zlib.crc32(b"fedavg|b|icu") ^ 9  # the cell seed of one cell
+
+    def failing(*args, seed=0, **kw):
+        if seed == planted:
+            raise ValueError("planted")
+        return bootstrap_ci(*args, seed=seed, **kw)
+
+    monkeypatch.setattr(exp.metrics, "bootstrap_ci", failing)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: fedavg@b: ValueError: planted\n"
+    assert not (out / "reports" / "report.json").exists()
+    assert not (out / "scores" / "fedavg__b.csv").exists()
+    _assert_reaped(forked)
+
+
+def test_evaluate_outputs_do_not_depend_on_worker_slots(pipeline, tmp_path,
+                                                        monkeypatch):
+    _, trained = pipeline
+    outs = []
+    for slots in (1, 2):
+        cfg_path, out = _trained_copy(trained, tmp_path / f"slots{slots}")
+        monkeypatch.setattr(cli, "usable_cpus", lambda: slots)
+        assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
+        outs.append(out)
+    one, two = ({sub: _tree(out / sub) for sub in ("scores", "reports")}
+                for out in outs)
+    assert len(one["scores"]) == 3 * 6
+    assert one == two
+    assert one["reports"] == {p: b for p, b in _tree(trained / "reports").items()
+                              if p.name.startswith("report.")}

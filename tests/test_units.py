@@ -1,9 +1,13 @@
 """The worker-process pool that `train` runs its models in."""
 
+import ctypes
 import os
+import signal
 import threading
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsurg.federation import ClientFailure
@@ -28,14 +32,110 @@ def _client_failure():
     raise ClientFailure("a", ValueError("lost"))
 
 
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        # no such child any more: it has ended and been waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _echo(value):
+    return value
+
+
+def _killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _blas_threads():
+    """The thread count of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                get_threads = getattr(lib, name)
+                get_threads.argtypes = []
+                get_threads.restype = ctypes.c_int
+                return get_threads()
+    return None
+
+
 def test_results_come_back_from_worker_processes():
     with UnitPool(2) as pool:
         for x in range(5):
             pool.submit(f"u{x}", _square, x)
         got = [pool.result(f"u{x}") for x in range(5)]
     assert [g["square"] for g in got] == [0, 1, 4, 9, 16]
-    assert os.getpid() not in {g["pid"] for g in got}
-    assert len({g["pid"] for g in got}) == 5
+    pids = {g["pid"] for g in got}
+    assert os.getpid() not in pids
+    assert 1 <= len(pids) <= 2
+
+
+def test_seven_units_on_two_slots_fork_two_workers(forked):
+    with UnitPool(2) as pool:
+        for x in range(7):
+            pool.submit(f"u{x}", _square, x)
+        got = [pool.result(f"u{x}") for x in range(7)]
+    assert [g["square"] for g in got] == [x * x for x in range(7)]
+    assert len(forked) == 2
+    assert {g["pid"] for g in got} <= set(forked)
+    _assert_reaped(forked)
+
+
+def test_a_unit_submitted_after_the_fork_receives_its_arguments(forked):
+    with UnitPool(1) as pool:
+        assert pool.run("first", _square, 2)["square"] == 4
+        # made after the worker was forked, and larger than a pipe's buffer
+        late = np.random.default_rng(5).uniform(size=300_000)
+        back = pool.run("late", _echo, {"late": late, "name": "late"})
+    assert len(forked) == 1
+    assert back["name"] == "late"
+    assert back["late"].tobytes() == late.tobytes()
+
+
+def test_an_unpicklable_argument_is_that_units_error(forked):
+    with UnitPool(1) as pool:
+        pool.submit("before", _square, 1)
+        pool.submit("bad", _echo, threading.Lock())
+        pool.submit("after", _square, 3)
+        assert pool.result("before")["square"] == 1
+        with pytest.raises(UnitError) as info:
+            pool.result("bad")
+        with pytest.raises(UnitError, match="^bad: "):
+            pool.result("after")
+    assert (info.value.unit, info.value.kind) == ("bad", "TypeError")
+    assert "pickle" in info.value.detail
+    _assert_reaped(forked)
+
+
+def test_a_killed_worker_fails_its_unit_and_starts_nothing(tmp_path, forked):
+    # one slot: the later unit could only start in a newly forked worker
+    with UnitPool(1) as pool:
+        pool.submit("first", _square, 1)
+        assert pool.result("first")["square"] == 1
+        pool.submit("killed", _killed)
+        pool.submit("later", _touch, tmp_path / "later")
+        with pytest.raises(UnitError) as info:
+            pool.result("killed")
+        with pytest.raises(UnitError, match="^killed: WorkerDied: "):
+            pool.result("later")
+    assert str(info.value) == ("killed: WorkerDied: the worker process was "
+                               "killed by SIGKILL and sent no result")
+    assert not (tmp_path / "later").exists()
+    _assert_reaped(forked)
+
+
+@pytest.mark.skipif(_blas_threads() is None,
+                    reason="numpy bundles no OpenBLAS with a thread count")
+def test_each_worker_caps_blas_at_its_share_of_the_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    for slots in (1, 2):
+        with UnitPool(slots) as pool:
+            assert pool.run("threads", _blas_threads) == max(1, cpus // slots)
 
 
 def test_run_unit_calls_here_without_a_pool_and_in_a_worker_with_one():
