@@ -5,9 +5,13 @@ the local / central / federated paradigms, evaluation with bootstrap
 confidence intervals, paradigm comparison, and the two socket-transport
 roles (one coordinator and one process per participating site).
 
-`train` runs each model, and `evaluate` the statistics and score file of
-each (model, site) cell, as a unit in long-lived forked worker processes,
-one per usable CPU. Every process gets one BLAS thread unless
+`train` runs each model, and `evaluate` each site's transforms and
+predictions and then the statistics and score file of each (model, site)
+cell, as a unit in long-lived forked worker processes, one per usable CPU;
+the command's own process dispatches the units and writes the outputs.
+The workers are forked at the first wait for a unit, so they inherit the
+inputs of the units queued by then instead of unpickling them. Every
+process gets one BLAS thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise (that is set before numpy loads),
 and each worker caps its BLAS threads at its share of the CPUs whatever
 that says.
@@ -31,7 +35,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
 from .federation import ALGORITHMS, FederationError, coordinate
-from .model import load_checkpoint, param_shapes, predict, save_checkpoint
+from .model import load_checkpoint, param_shapes, save_checkpoint
 from .units import UnitError, UnitPool, usable_cpus
 from .wire import connect_socket, serve_sockets
 
@@ -158,28 +162,23 @@ def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     central_pp = (exp.central_preprocessor(cfg, sites)
                   if "central" in checkpoints else None)
     units = []
-    # Each (model, site) cell is one unit, submitted as soon as its
-    # probabilities exist: a worker computes its statistics and then writes
-    # its score file. The report is written once every cell has succeeded.
+    # The command only dispatches: each site's transforms and predictions
+    # are one unit, `predict@<site>`, and each (model, site) cell is one
+    # unit, submitted as soon as its site's probabilities are back, which
+    # computes the cell's statistics and then writes its score file. The
+    # prediction units are queued before the workers are forked, so the
+    # workers inherit the sites and checkpoints rather than unpickle them.
+    # The report is written once every cell has succeeded.
     with UnitPool(usable_cpus()) as pool:
         for site_name, sd in sorted(sites.items()):
-            # Each model scores through the preprocessor it was trained
-            # with, rebuilt from the cohorts as `train` fits it: the scored
-            # site's local fit for local models, the pooled fit of the
-            # development sites for central, the shared scaler for federated
-            # models. Each split is transformed once per preprocessor; one
-            # site's matrices live at a time.
-            features = {}
-            for model_name, params in sorted(checkpoints.items()):
-                pp = (sd.pp_local if model_name.startswith("local_")
-                      else central_pp if model_name == "central" else sd.pp_fed)
-                if pp not in features:
-                    features[pp] = (pp.transform(sd.test), pp.transform(sd.val))
-                test_fm, val_fm = features[pp]
-                unit = (model_name, site_name,
-                        predict(params, cfg.arch, test_fm), test_fm.labels,
-                        predict(params, cfg.arch, val_fm), val_fm.labels,
-                        cfg.n_boot, cfg.seed,
+            pool.submit(f"predict@{site_name}", exp.predict_unit, cfg, sd,
+                        checkpoints, central_pp)
+        for site_name, sd in sorted(sites.items()):
+            predictions = pool.result(f"predict@{site_name}")
+            for model_name, (probs, labels, val_probs,
+                             val_labels) in predictions.items():
+                unit = (model_name, site_name, probs, labels, val_probs,
+                        val_labels, cfg.n_boot, cfg.seed,
                         out / "scores" / f"{model_name}__{site_name}.csv",
                         sd.test.encounter_id)
                 pool.submit(f"{model_name}@{site_name}", exp.score_unit, *unit)
@@ -240,7 +239,7 @@ def cmd_compare(cfg: exp.ExperimentConfig, args) -> int:
                     "delta_auroc": ra["point"] - rb["point"],
                     "ci_overlap": overlap(ra, rb),
                 })
-    with open(out / "reports" / "compare.json", "w") as fh:
+    with exp.atomic_open(out / "reports" / "compare.json") as fh:
         json.dump(verdicts, fh, indent=1)
     for v in verdicts:
         mark = "~" if v["ci_overlap"] else ("+" if v["delta_auroc"] > 0 else "-")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -113,9 +115,25 @@ class ExperimentConfig:
         )
 
 
+# libyaml's parser when PyYAML was built with it: the same documents, parsed
+# several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    """The config in YAML file ``path``; a file that is not valid YAML is a
+    ConfigError naming it."""
+    with open(path, "rb") as fh:
+        try:
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            if mark is not None and exc.problem:
+                detail = (f"{exc.problem} at line {mark.line + 1}, "
+                          f"column {mark.column + 1}")
+            else:
+                detail = " ".join(str(exc).split())  # on one line
+            raise ConfigError(f"{path}: not valid YAML: {detail}") from exc
     return config_from_dict(doc)
 
 
@@ -354,6 +372,34 @@ def run_federated_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
 
 # --- evaluation -----------------------------------------------------------
 
+def predict_unit(cfg: ExperimentConfig, sd: SiteData,
+                 checkpoints: dict[str, ModelParams],
+                 central_pp: Preprocessor | None
+                 ) -> dict[str, tuple[np.ndarray, np.ndarray,
+                                      np.ndarray, np.ndarray]]:
+    """Each model's ``(probs, labels, val_probs, val_labels)`` on site
+    ``sd``'s test and validation splits, by model name in sorted order.
+
+    Each model scores through the preprocessor it was trained with,
+    rebuilt from the cohorts as `train` fits it: the scored site's local
+    fit for local models, ``central_pp`` (the pooled fit of the
+    development sites) for central, the shared scaler for federated
+    models. Each split is transformed once per preprocessor."""
+    features = {}
+    predictions = {}
+    for model_name, params in sorted(checkpoints.items()):
+        pp = (sd.pp_local if model_name.startswith("local_")
+              else central_pp if model_name == "central" else sd.pp_fed)
+        if pp not in features:
+            features[pp] = (pp.transform(sd.test), pp.transform(sd.val))
+        test_fm, val_fm = features[pp]
+        predictions[model_name] = (predict(params, cfg.arch, test_fm),
+                                   test_fm.labels,
+                                   predict(params, cfg.arch, val_fm),
+                                   val_fm.labels)
+    return predictions
+
+
 @dataclass
 class EvalCell:
     model: str
@@ -444,6 +490,26 @@ def score_unit(model: str, site: str, probs: np.ndarray, labels: np.ndarray,
 
 # --- artifact io ----------------------------------------------------------
 
+@contextmanager
+def atomic_open(path, newline: str | None = None):
+    """``path`` opened for writing text, through ``<path>.partial``, which
+    is renamed into place only once everything is written: a write that
+    fails, or a process killed mid-write, leaves no file cut short at
+    ``path``. A failed write removes its ``.partial`` file; a killed
+    process may leave it."""
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, "w", newline=newline) as fh:
+            yield fh
+        # ext4 starts writing a file back at once when it is renamed over
+        # another; renamed into a free name, it stays in the page cache
+        Path(path).unlink(missing_ok=True)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def write_history_csv(path, history: list[RoundRecord]) -> None:
     clients = sorted(history[0].train_loss) if history else []
     with open(path, "w", newline="") as fh:
@@ -477,7 +543,7 @@ def write_scores_csv(path, encounter_ids, probs: np.ndarray,
                       + [f"score_{o}" for o in OUTCOME_NAMES]
                       + [f"label_{o}" for o in OUTCOME_NAMES])
     rows = map(",".join, zip(map(_csv_field, encounter_ids), *fields))
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("\r\n".join([header, *rows, ""]))
 
 
@@ -495,9 +561,9 @@ def read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 def write_report(out_dir: Path, cells: list[EvalCell]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.json", "w") as fh:
+    with atomic_open(out_dir / "report.json") as fh:
         json.dump([c.to_dict() for c in cells], fh, indent=1)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "report.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "site", "outcome", "n_total", "n_positives",
                          "auroc", "auroc_lo", "auroc_hi",

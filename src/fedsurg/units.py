@@ -1,14 +1,18 @@
 """Independent units of work in long-lived forked worker processes.
 
 A unit is one call ``fn(*args)`` under a name, such as one model's
-transforms and training, or the scoring of one model on one site.
-``UnitPool(slots)`` keeps at most ``slots`` worker processes, each forked
-on the first submit that finds no idle worker, and each runs many units,
-one at a time, in the order they were submitted. A unit's ``(fn, args)``
-is streamed into its worker's task pipe with ``pickle.dump``; its result
-comes back pickled and length-prefixed over the worker's result pipe.
-Every random stream of a unit is keyed by its own inputs, so a result
-does not depend on which process ran it or when.
+transforms and training, every model's predictions on one site, or the
+scoring of one model on one site.
+``UnitPool(slots)`` keeps at most ``slots`` worker processes, forked at
+the pool's waits (``result`` and ``run``), never at a submit, and each
+runs many units, one at a time, in the order they were submitted. A
+worker inherits, through the fork, every unit still queued when it was
+forked, so such a unit is sent down its task pipe as its name alone and
+its function and arguments are never pickled; a unit submitted after its
+worker was forked is streamed into the pipe with ``pickle.dump``. A
+result comes back pickled and length-prefixed over the worker's result
+pipe. Every random stream of a unit is keyed by its own inputs, so a
+result does not depend on which process ran it or when.
 
 Inside ``with UnitPool(...)``, ``run_unit`` hands its call to the pool;
 outside, it calls ``fn(*args)`` in the calling process. Workers are
@@ -103,15 +107,18 @@ def _failure(exc: Exception) -> tuple[bool, tuple[str, str]]:
     return False, (type(exc).__name__, str(exc))
 
 
-def _serve(tasks_fd: int, results_fd: int) -> None:
-    """A worker's life: run each unit read from the task pipe and send back
-    its outcome, until the pipe closes."""
+def _serve(tasks_fd: int, results_fd: int,
+           inherited: dict[str, tuple[Callable, tuple]]) -> None:
+    """A worker's life: run each unit read from the task pipe, given there
+    as its name when it is one of the ``inherited`` queued units, and send
+    back its outcome, until the pipe closes."""
     with open(tasks_fd, "rb") as tasks, open(results_fd, "wb") as results:
         while True:
             try:
-                fn, args = pickle.load(tasks)
+                unit = pickle.load(tasks)
             except EOFError:
                 return
+            fn, args = inherited.pop(unit) if isinstance(unit, str) else unit
             try:
                 payload = pickle.dumps((True, fn(*args)),
                                        protocol=pickle.HIGHEST_PROTOCOL)
@@ -127,6 +134,7 @@ class _Worker:
     pid: int
     tasks: int  # the write end of its task pipe
     results: int  # the read end of its result pipe
+    inherited: frozenset[str]  # the units queued when it was forked
     unit: str | None = None  # the unit it runs
     received: bytearray = field(default_factory=bytearray)
 
@@ -134,11 +142,14 @@ class _Worker:
 class UnitPool:
     """At most ``slots`` forked workers that run the submitted units.
 
-    ``result`` waits for one unit and returns its value or raises its
-    ``UnitError``. Once a unit has failed no further unit is started, so
-    the failure reported is always that of the first failing unit in
-    submission order, when results are read in that order. Leaving the
-    ``with`` block kills and reaps every worker.
+    ``submit`` queues a unit, and hands it to an idle worker if there is
+    one; ``result`` forks the workers still missing, waits for one unit
+    and returns its value or raises its ``UnitError``, so units submitted
+    before the first wait reach their workers unpickled. Once a unit has
+    failed no further unit is started, so the failure reported is always
+    that of the first failing unit in submission order, when results are
+    read in that order. Leaving the ``with`` block kills and reaps every
+    worker.
     """
 
     def __init__(self, slots: int):
@@ -168,9 +179,11 @@ class UnitPool:
             raise ValueError(f"unit {name!r} was already submitted")
         self._fns[name] = fn
         self._queued[name] = (fn, args)
-        # take in what has arrived, so that a worker done meanwhile is idle
-        self._read(timeout=0)
-        self._fill()
+        if self._workers:
+            # take in what has arrived, so that a worker done meanwhile is
+            # idle, and hand it the next unit
+            self._read(timeout=0)
+            self._fill(fork=False)
 
     def run(self, name: str, fn: Callable, *args) -> Any:
         """The result of unit ``name``, submitted now unless it already
@@ -198,20 +211,25 @@ class UnitPool:
         return value
 
     def close(self) -> None:
-        """Kill and reap every worker."""
-        for worker in list(self._workers.values()):
+        """Kill and reap every worker: all are killed first, so that they
+        end at the same time."""
+        workers = list(self._workers.values())
+        for worker in workers:
             worker.unit = None
-            self._kill(worker)
+            os.kill(worker.pid, signal.SIGKILL)
+        for worker in workers:
+            self._reap(worker)
         self._queued.clear()
         self._selector.close()
 
-    def _fill(self) -> None:
-        """Send queued units to idle workers, forking up to ``slots``."""
+    def _fill(self, fork: bool) -> None:
+        """Send queued units to idle workers, forking up to ``slots`` if
+        ``fork``."""
         while self._queued and not self._failed:
             worker = next((w for w in self._workers.values() if w.unit is None),
                           None)
             if worker is None:
-                if len(self._workers) == self.slots:
+                if not fork or len(self._workers) == self.slots:
                     return
                 worker = self._fork()
             name = next(iter(self._queued))
@@ -239,14 +257,14 @@ class UnitPool:
                 _active.set(None)
                 if set_threads is not None:
                     set_threads(max(1, usable_cpus() // self.slots))
-                _serve(tasks_r, results_w)
+                _serve(tasks_r, results_w, self._queued)
                 status = 0
             finally:
                 # never return into the parent's code, nor run its exit hooks
                 os._exit(status)
         os.close(tasks_r)
         os.close(results_w)
-        worker = _Worker(pid, tasks_w, results_r)
+        worker = _Worker(pid, tasks_w, results_r, frozenset(self._queued))
         self._workers[results_r] = worker
         self._selector.register(results_r, selectors.EVENT_READ)
         return worker
@@ -256,7 +274,8 @@ class UnitPool:
         worker.unit = name
         try:
             with open(worker.tasks, "wb", closefd=False) as fh:
-                pickle.dump((fn, args), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(name if name in worker.inherited else (fn, args),
+                            fh, protocol=pickle.HIGHEST_PROTOCOL)
         except BrokenPipeError:
             pass  # the worker has died; its result pipe reports it
         except Exception as exc:
@@ -266,13 +285,15 @@ class UnitPool:
             self._finish(name, _failure(exc))
 
     def _wait(self) -> None:
-        """Read from the workers until a unit has finished or a worker has
-        ended, then start what may start."""
+        """Start what may start, forking workers as needed, then read from
+        the workers until a unit has finished or a worker has ended, and
+        start what may start again."""
+        self._fill(fork=True)
         if not any(w.unit is not None for w in self._workers.values()):
             raise RuntimeError("no unit is running")
         while not self._read(timeout=None):
             pass
-        self._fill()
+        self._fill(fork=True)
 
     def _read(self, timeout: float | None) -> bool:
         """Take in what the workers have sent, waiting up to ``timeout``

@@ -669,6 +669,76 @@ def test_evaluate_cell_failure_is_one_line(pipeline, tmp_path, capsys,
     _assert_reaped(forked)
 
 
+def test_evaluate_prediction_failure_is_one_line(pipeline, tmp_path, capsys,
+                                                 monkeypatch, forked):
+    _, trained = pipeline
+    cfg_path, out = _trained_copy(trained, tmp_path)
+    predict_unit = exp.predict_unit
+
+    def failing(cfg, sd, *args):
+        if sd.name == "a":  # the first site, so no cell was submitted
+            raise ValueError("planted")
+        return predict_unit(cfg, sd, *args)
+
+    monkeypatch.setattr(exp, "predict_unit", failing)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: predict@a: ValueError: planted\n"
+    assert not list((out / "reports").iterdir())
+    assert not list((out / "scores").iterdir())
+    _assert_reaped(forked)
+
+
+def test_evaluate_score_file_write_failure_leaves_no_score_file(
+        pipeline, tmp_path, capsys, monkeypatch, forked):
+    _, trained = pipeline
+    cfg_path, out = _trained_copy(trained, tmp_path)
+
+    def failing(text):
+        raise OSError(28, "No space left on device")
+
+    # every cell fails after writing its header; the first is reported
+    monkeypatch.setattr(exp, "_csv_field", failing)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: central@a: OSError: [Errno 28] No space left on device\n")
+    assert not list((out / "scores").iterdir())
+    assert not (out / "reports" / "report.json").exists()
+    _assert_reaped(forked)
+
+
+def test_compare_write_failure_leaves_no_compare_json(pipeline, tmp_path,
+                                                      monkeypatch):
+    _, trained = pipeline
+    cfg_path, out = _trained_copy(trained, tmp_path)
+    shutil.copytree(trained / "reports", out / "reports")
+    (out / "reports" / "compare.json").unlink()
+
+    def failing(obj, fh, **kw):
+        fh.write("[")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", failing)
+    with pytest.raises(OSError, match="No space left"):
+        cli.main(["compare", "--config", str(cfg_path)])
+    assert sorted(p.name for p in (out / "reports").iterdir()) == [
+        "report.csv", "report.json"]
+
+
+@pytest.mark.parametrize("text", [b"seed: [1, 2\n", b"seed: 1\n  x: 2\n",
+                                  b"a: 1\n\tb: 2\n", b"seed: \x80\n"],
+                         ids=["unclosed", "indent", "tab", "not-utf8"])
+def test_config_that_is_not_yaml_exits_2_with_one_line(tmp_path, capsys,
+                                                       text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(text)
+    assert cli.main(["compare", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid YAML: ")
+    assert err.count("\n") == 1
+
+
 def test_evaluate_outputs_do_not_depend_on_worker_slots(pipeline, tmp_path,
                                                         monkeypatch):
     _, trained = pipeline

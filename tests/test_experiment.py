@@ -1,9 +1,13 @@
 """Experiment configuration and paradigm plumbing."""
 
 import csv
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from fedsurg import experiment as E
@@ -99,11 +103,64 @@ def test_config_defaults_are_the_dataclass_defaults():
 
 
 def test_load_config_yaml(tmp_path):
-    import yaml
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump(_doc()))
     cfg = E.load_config(path)
     assert cfg.development_sites == ["a", "b"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_config() -> str:
+    """The benchmark's config, as ``perfbench/run.py`` writes it (JSON)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return json.dumps(run.make_config("evaluate-report", 3, Path("data")),
+                      indent=1)
+
+
+# scalars whose YAML 1.1 type a parser could get wrong
+EDGE_SCALARS = """\
+exponent_without_dot: 1e6
+big: 1.0e+300
+not_a_number: .nan
+infinite: -.inf
+hex: 0x10
+octal: 010
+date: 2026-10-20
+stamp: 2026-10-20 09:15:23
+truth: yes
+falsity: Off
+nothing: ~
+quoted: "1.5"
+list: [1, 2.5, 'x', null]
+"""
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("source", [
+    *sorted(p.name for p in (ROOT / "configs").glob("*.yaml")),
+    "benchmark", "edge scalars"])
+def test_the_c_and_python_yaml_loaders_parse_configs_alike(source):
+    text = {"benchmark": _benchmark_config,
+            "edge scalars": lambda: EDGE_SCALARS}.get(
+        source, lambda: (ROOT / "configs" / source).read_text())()
+    fast = yaml.load(text, Loader=yaml.CSafeLoader)
+    slow = yaml.load(text, Loader=yaml.SafeLoader)
+    # repr tells 1e6 the string from 1e6 the float, and prints NaN alike
+    assert repr(fast) == repr(slow)
+    assert fast
+
+
+def test_load_config_parses_as_the_python_loader(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(_benchmark_config())
+    slow = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+    assert E.load_config(path) == E.config_from_dict(slow)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +267,48 @@ def test_scores_csv_roundtrip(tmp_path):
     assert back_ids == ids
     assert np.array_equal(back_probs, probs)  # repr round trip is lossless
     assert np.array_equal(back_labels, labels)
+
+
+def _failing_field(text):
+    raise OSError(28, "No space left on device")
+
+
+class _Unwritable:
+    """A cell that cannot be written, as a write that fails mid-way."""
+
+    def to_dict(self):
+        raise OSError(28, "No space left on device")
+
+
+class _NoFields:
+    """A cell that report.json takes and report.csv cannot."""
+
+    def to_dict(self):
+        return {}
+
+
+@pytest.mark.parametrize("target", ["scores", "report.json", "report.csv"])
+def test_a_failed_write_leaves_no_file_at_the_final_path(tmp_path, monkeypatch,
+                                                         target):
+    rng = np.random.default_rng(0)
+    probs = rng.uniform(0, 1, (5, 4))
+    labels = rng.integers(0, 2, (5, 4)).astype(float)
+    if target == "scores":
+        # the header is written, then the first row fails
+        monkeypatch.setattr(E, "_csv_field", _failing_field)
+        path = tmp_path / "m__s.csv"
+        with pytest.raises(OSError, match="No space left"):
+            E.write_scores_csv(path, [f"enc{i}" for i in range(5)], probs,
+                               labels)
+    else:
+        cell = E.evaluate_scores("m", "s", probs, labels, None, None,
+                                 n_boot=5, seed=0)[0]
+        bad = _Unwritable() if target == "report.json" else _NoFields()
+        path = tmp_path / target
+        with pytest.raises((OSError, AttributeError)):
+            E.write_report(tmp_path, [cell, bad])
+    assert not path.exists()
+    assert not any(p.name.endswith(".partial") for p in tmp_path.iterdir())
 
 
 def _write_scores_by_row(path, encounter_ids, probs, labels):

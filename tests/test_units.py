@@ -1,4 +1,4 @@
-"""The worker-process pool that `train` runs its models in."""
+"""The worker-process pool that `train` and `evaluate` run their units in."""
 
 import ctypes
 import os
@@ -42,6 +42,24 @@ def _assert_reaped(pids):
 
 def _echo(value):
     return value
+
+
+def _lock_state(lock):
+    return {"locked": lock.locked(), "pid": os.getpid()}
+
+
+class _Counted:
+    """An argument that records, in the process that pickles it, each time
+    it is pickled."""
+
+    pickled = []
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        _Counted.pickled.append(os.getpid())
+        return _Counted, (self.value,)
 
 
 def _killed(*args):
@@ -99,8 +117,10 @@ def test_a_unit_submitted_after_the_fork_receives_its_arguments(forked):
 
 def test_an_unpicklable_argument_is_that_units_error(forked):
     with UnitPool(1) as pool:
+        assert pool.run("first", _square, 2)["square"] == 4
+        # submitted once the worker exists, so its arguments must be pickled
         pool.submit("before", _square, 1)
-        pool.submit("bad", _echo, threading.Lock())
+        pool.submit("bad", _lock_state, threading.Lock())
         pool.submit("after", _square, 3)
         assert pool.result("before")["square"] == 1
         with pytest.raises(UnitError) as info:
@@ -110,6 +130,30 @@ def test_an_unpicklable_argument_is_that_units_error(forked):
     assert (info.value.unit, info.value.kind) == ("bad", "TypeError")
     assert "pickle" in info.value.detail
     _assert_reaped(forked)
+
+
+def test_an_unpicklable_argument_queued_before_the_fork_runs_in_a_worker(
+        forked):
+    with UnitPool(2) as pool:
+        pool.submit("lock", _lock_state, threading.Lock())
+        got = pool.result("lock")
+    assert got["locked"] is False
+    assert got["pid"] in forked and got["pid"] != os.getpid()
+    _assert_reaped(forked)
+
+
+def test_a_unit_queued_before_the_fork_is_never_pickled(forked):
+    _Counted.pickled.clear()
+    offset = 10
+    with UnitPool(2) as pool:
+        for x in range(5):
+            # a lambda, which pickle refuses too
+            pool.submit(f"u{x}", lambda c: c.value + offset, _Counted(x))
+        assert [pool.result(f"u{x}") for x in range(5)] == [10, 11, 12, 13, 14]
+        # submitted after the fork: pickled, once, here
+        assert pool.run("late", _echo, _Counted(7)).value == 7
+    assert _Counted.pickled == [os.getpid()]
+    assert len(forked) == 2
 
 
 def test_a_killed_worker_fails_its_unit_and_starts_nothing(tmp_path, forked):
@@ -179,8 +223,12 @@ def test_the_first_failure_in_submission_order_is_reported(tmp_path):
 def test_leaving_the_pool_kills_and_reaps_running_workers(forked):
     start = time.monotonic()
     with UnitPool(2) as pool:
+        # the first wait forks both workers; the quick unit's worker then
+        # takes the second sleep
+        pool.submit("quick", _square, 1)
         pool.submit("a", time.sleep, 60)
         pool.submit("b", time.sleep, 60)
+        assert pool.result("quick")["square"] == 1
     assert time.monotonic() - start < 10
     assert len(forked) == 2
     for pid in forked:
@@ -188,13 +236,14 @@ def test_leaving_the_pool_kills_and_reaps_running_workers(forked):
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_workers_are_forked_only_from_the_main_thread():
+def test_workers_are_forked_only_from_the_main_thread(forked):
     raised = []
 
     def submit():
         with UnitPool(1) as pool:
+            pool.submit("u", _square, 1)
             try:
-                pool.submit("u", _square, 1)
+                pool.result("u")
             except RuntimeError as exc:
                 raised.append(str(exc))
 
@@ -203,6 +252,7 @@ def test_workers_are_forked_only_from_the_main_thread():
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert raised == ["worker processes are forked only from the main thread"]
+    assert forked == []
 
 
 def test_slots_must_be_positive():
