@@ -37,7 +37,7 @@ from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
 from .federation import ALGORITHMS, FederationError, coordinate
 from .model import load_checkpoint, param_shapes, save_checkpoint
 from .units import UnitError, UnitPool, usable_cpus
-from .wire import connect_socket, serve_sockets
+from .wire import ChannelClosed, ProtocolError, connect_socket, serve_sockets
 
 log = logging.getLogger("fedsurg")
 
@@ -335,6 +335,11 @@ def main(argv=None) -> int:
     except UnitError as exc:
         # a model that failed to train, or a cell that failed to score; no
         # checkpoint or history, or no report, is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ChannelClosed, ProtocolError) as exc:
+        # a socket peer that could not be reached, went away or sent a bad
+        # frame (`serve-site`)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

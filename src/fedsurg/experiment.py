@@ -10,6 +10,7 @@ so a full pipeline rerun reproduces each artifact byte for byte.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import zlib
@@ -320,11 +321,24 @@ def train_single(arch: ArchConfig, train_fm: Batch, val_fm: Batch,
 # Each model is one unit: its transforms and training, run through
 # ``run_unit`` so that `train` can run the units in worker processes.
 
+def _quiet_float_errors(unit):
+    """``unit`` with numpy's overflow and invalid-value warnings off: a
+    step that overflows leaves parameters that are not finite, and the
+    unit's finite check reports that as its one error."""
+    @functools.wraps(unit)
+    def quiet(*args):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return unit(*args)
+    return quiet
+
+
+@_quiet_float_errors
 def local_unit(cfg: ExperimentConfig, sd: SiteData) -> TrainResult:
     return train_single(cfg.arch, sd.pp_local.transform(sd.train),
                         sd.pp_local.transform(sd.val), cfg.train, (sd.name,))
 
 
+@_quiet_float_errors
 def central_unit(cfg: ExperimentConfig, sites: dict[str, SiteData]
                  ) -> tuple[TrainResult, Preprocessor]:
     """The central model and the pooled fit it was trained through."""
@@ -335,6 +349,7 @@ def central_unit(cfg: ExperimentConfig, sites: dict[str, SiteData]
     return train_single(cfg.arch, train_fm, val_fm, cfg.train, names), pp
 
 
+@_quiet_float_errors
 def federated_unit(cfg: ExperimentConfig, sites: dict[str, SiteData],
                    algo: str) -> TrainResult:
     workers = {name: site_worker(cfg, sites[name], algo)
@@ -450,23 +465,25 @@ def score_unit(model: str, site: str, probs: np.ndarray, labels: np.ndarray,
                val_probs: np.ndarray | None, val_labels: np.ndarray | None,
                n_boot: int, seed: int, scores_path: Path | None = None,
                encounter_ids: np.ndarray | None = None) -> list[EvalCell]:
-    """What ``evaluate_scores`` runs as a unit."""
+    """What ``evaluate_scores`` runs as a unit: the eight bootstraps of
+    its four outcomes in one ``metrics.bootstrap_cis`` call."""
+    cell_seeds = [zlib.crc32(f"{model}|{site}|{outcome}".encode()) ^ seed
+                  for outcome in OUTCOME_NAMES]
+    boots = metrics.bootstrap_cis(
+        [(probs[:, k], labels[:, k],
+          ((metrics.auroc, cell_seed), (metrics.auprc, cell_seed + 1)))
+         for k, cell_seed in enumerate(cell_seeds)], n_boot)
     cells = []
     for k, outcome in enumerate(OUTCOME_NAMES):
         y = labels[:, k]
         s = probs[:, k]
         n_pos = int(y.sum())
-        cell_seed = zlib.crc32(f"{model}|{site}|{outcome}".encode()) ^ seed
-        try:
-            boot_auroc = metrics.bootstrap_ci(s, y, metrics.auroc, n_boot,
-                                              seed=cell_seed)
-            boot_auprc = metrics.bootstrap_ci(s, y, metrics.auprc, n_boot,
-                                              seed=cell_seed + 1)
-        except metrics.DegenerateLabelsError:
+        if isinstance(boots[k], metrics.DegenerateLabelsError):
             nan = metrics.BootstrapResult(float("nan"), float("nan"), float("nan"))
             cells.append(EvalCell(model, site, outcome, len(y), n_pos, None,
                                   nan, nan))
             continue
+        boot_auroc, boot_auprc = boots[k]
         threshold = None
         thr = None
         if val_probs is not None:

@@ -13,20 +13,25 @@ operations, in the same order, as a block-by-block loop: midranks are
 ``cumsum`` (never the pairwise ``np.sum``) and Youden's J uses exact
 integer counts. Results are bit-identical to those loops.
 
-The bootstrap of AUROC and AUPRC sorts the sample once and scores each
-resample from how often it drew each element (the count form of the
-nonparametric bootstrap, Efron & Tibshirani 1993), reduced over the
-sample's tie blocks: exact integer rank sums for AUROC, and for average
-precision the same per-block terms, in the same order, as scoring the
-resample itself. Its intervals are bit-identical to resampling and
-re-sorting.
+The bootstrap of AUROC and AUPRC numbers the sample's tie blocks once and
+scores each resample from how often it drew each element (the count form
+of the nonparametric bootstrap, Efron & Tibshirani 1993), reduced over the
+tie blocks: exact integer rank sums for AUROC, and for average precision
+the same per-block terms, in the same order, as scoring the resample
+itself. The point estimate is the count row of the sample itself. Its
+intervals are bit-identical to resampling and re-sorting.
+``bootstrap_cis`` runs many such jobs in one call (an evaluation cell's
+two metrics on four outcomes), numbering each sample's blocks once for
+all of its metrics.
 
 Three shortcuts cut fixed costs per call and keep every bit:
 ``_percentiles`` writes numpy's linear percentile out over the sorted
-values (numpy still takes a list with a NaN); each resample's RNG is
-seeded from a uint32 array of (seed, index), the words
-``default_rng([seed, index])`` derives below 2**32; and the Youden scan
-of ``pick_threshold`` visits only the strict running maxima of J.
+values (numpy still takes a list with a NaN); the resample streams
+``default_rng([seed, index])`` of all of a call's jobs are seeded in one
+pass (``_pcg64_states``: SeedSequence's hash over uint32 arrays, then
+PCG64's seeding in Python ints, the state numpy derives for seeds below
+2**32) and drawn through one reused Generator; and the Youden scan of
+``pick_threshold`` visits only the strict running maxima of J.
 """
 
 from __future__ import annotations
@@ -192,32 +197,29 @@ _DRAWS_PER_BATCH = 1 << 14
 
 
 def _scored_per_resample(metric, s, y):
-    """(usable, score) that call ``metric`` on every resample."""
+    """(usable, score, whole) that call ``metric`` on every resample;
+    ``whole`` is the point estimate, ``metric`` of the sample itself."""
     def usable(idx):
         try:
             return float(metric(s[idx], y[idx]))
         except DegenerateLabelsError:
             return None
-    return usable, list
+    return usable, list, float(metric(s, y))
 
 
-def _scored_by_counts(by_counts, needs_negative: bool, s, y):
-    """(usable, score) of a counted metric. ``usable`` keeps a draw's
-    element keys (2 * tie block + label) when its class counts are ones the
-    metric accepts; ``score`` takes a batch of kept draws to their values."""
-    tied, block = np.unique(s, return_inverse=True)
-    n_blocks = len(tied)
-    keys = 2 * block + y.astype(bool)
-
-    def usable(idx):
-        drawn = keys[idx]
+def _scored_by_counts(by_counts, needs_negative: bool, n_blocks: int,
+                      keys: np.ndarray):
+    """(usable, score, whole) of a counted metric over a sample's element
+    keys (2 * tie block + label). ``usable`` keeps a draw's keys when its
+    class counts are ones the metric accepts; ``score`` takes a batch of
+    kept draws to their values; ``whole``, the keys of the sample itself,
+    scores to the point estimate, the metric's value bit for bit."""
+    def kept(drawn):
         n_pos = np.count_nonzero(drawn & 1)
         ok = n_pos > 0 and (n_pos < len(drawn) or not needs_negative)
         return drawn if ok else None
 
     def score(batch):
-        if not batch:
-            return []
         rows = len(batch)
         # one bincount over the batch: row r counts into bins from 2·n_blocks·r
         drawn = np.stack(batch) + 2 * n_blocks * np.arange(rows)[:, None]
@@ -225,7 +227,11 @@ def _scored_by_counts(by_counts, needs_negative: bool, s, y):
                              ).reshape(rows, n_blocks, 2)
         return by_counts(counts[..., 0], counts[..., 1]).tolist()
 
-    return usable, score
+    if kept(keys) is None:
+        raise DegenerateLabelsError("the metric needs both classes"
+                                    if needs_negative else
+                                    "the metric needs a positive")
+    return (lambda idx: kept(keys[idx])), score, keys
 
 
 def _percentiles(values: list[float], qs: list[float]) -> list[float]:
@@ -258,43 +264,95 @@ def _percentiles(values: list[float], qs: list[float]) -> list[float]:
     return out
 
 
-def _resample_rng(seed: int, i: int) -> np.random.Generator:
-    """``default_rng([seed, i])``. Below 2**32 each int is one seed word, so
-    a uint32 array gives the same stream without converting the list (a
-    resample index ``i`` is always below 2**32)."""
-    if 0 <= seed < 1 << 32:
-        return np.random.default_rng(np.array((seed, i), dtype=np.uint32))
-    return np.random.default_rng([seed, i])
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.uint32, ...]:
+    """The first ``n + 1`` values of a SeedSequence hash constant, which is
+    multiplied by ``mult`` (mod 2**32) at each use, as uint32 scalars."""
+    values = [init]
+    for _ in range(n):
+        values.append(values[-1] * mult & 0xFFFFFFFF)
+    return tuple(map(np.uint32, values))
 
 
-def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05,
-                 seed: int = 0) -> BootstrapResult:
-    """Percentile bootstrap over paired (score, label) resamples.
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) as its 16
+# hashes of a pool of four words and its 8 draws from the pool meet them,
+# and the multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h)
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_DRAW_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
 
-    Each resample draws its RNG from (seed, resample index) so results do
-    not depend on execution order. Resamples on which the metric is
-    degenerate are redrawn up to 10 times, then skipped (count reported).
 
-    ``auroc`` and ``auprc`` (or a ``functools.wraps`` wrapper of them) score
-    resamples from their draw counts over the sample's tie blocks, sorted
-    once; ``metric`` itself computes only the point estimate. Any other
-    metric, and any sample with a NaN score (its NaN copies rank in draw
-    order, which counts do not record), is called on every resample.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    point = float(metric(s, y))
-    n = len(s)
-    counted = _COUNTED.get(inspect.unwrap(metric))
-    if counted is None or np.isnan(s).any():
-        usable, score = _scored_per_resample(metric, s, y)
-    else:
-        usable, score = _scored_by_counts(*counted, s, y)
+def _pcg64_states(seeds: np.ndarray, index: np.ndarray) -> list[dict]:
+    """The ``bit_generator.state`` of ``default_rng([seed, i])`` for each
+    pair of uint32 ``seeds`` and ``index``. Below 2**32 each int is one
+    entropy word, so SeedSequence's hash (a pool of four words mixed, then
+    eight words drawn from it) runs over whole uint32 arrays; PCG64's two
+    seeding steps run in Python ints."""
+    hashes = iter(range(16))
+
+    def hashmix(value):
+        k = next(hashes)
+        value = (value ^ _POOL_HASH[k]) * _POOL_HASH[k + 1]
+        return value ^ (value >> _XSHIFT)
+
+    zero = np.zeros_like(seeds)
+    pool = [hashmix(seeds), hashmix(index), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * _MIX_MULT_L - hashmix(pool[src]) * _MIX_MULT_R
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    draws = np.array(_DRAW_HASH, dtype=np.uint32)[:, None]
+    words = (np.stack(pool)[[0, 1, 2, 3, 0, 1, 2, 3]] ^ draws[:-1]) * draws[1:]
+    words = (words ^ (words >> _XSHIFT)).astype(np.uint64)
+    # little-endian pairs of words: the seed's two halves, then the stream's
+    halves = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+    # PCG64 seeding: inc is the stream's halves shifted in over a 1, and the
+    # state steps once from 0, adds the seed's halves, then steps again
+    states = []
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK_128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _resample_streams(seeds: list[int], n_boot: int) -> list[list | None]:
+    """For each seed, the bit generator state of ``default_rng([seed, i])``
+    for each resample index ``i`` below ``n_boot``, all computed in one pass;
+    None for a seed outside [0, 2**32), which is more than one word."""
+    n_boot = max(n_boot, 0)
+    inside = [seed for seed in seeds if 0 <= seed < 1 << 32]
+    states = _pcg64_states(
+        np.repeat(np.array(inside, dtype=np.uint32), n_boot),
+        np.tile(np.arange(n_boot, dtype=np.uint32), len(inside)))
+    chunks = iter([states[k * n_boot:(k + 1) * n_boot]
+                   for k in range(len(inside))])
+    return [next(chunks) if 0 <= seed < 1 << 32 else None for seed in seeds]
+
+
+def _bootstrap_job(usable, score, whole, n: int, seed: int, streams,
+                   generator: np.random.Generator, n_boot: int,
+                   alpha: float) -> BootstrapResult:
+    """One metric's bootstrap: resample ``i`` draws from
+    ``default_rng([seed, i])``, set into ``generator`` from ``streams`` when
+    they are given."""
     per_batch = max(1, _DRAWS_PER_BATCH // max(n, 1))
-    values, batch = [], []
+    values, batch = [], [whole]     # the sample itself scores to the point
     skipped = 0
     for i in range(n_boot):
-        rng = _resample_rng(seed, i)
+        if len(batch) == per_batch:
+            values += score(batch)
+            batch = []
+        if streams is None:
+            rng = np.random.default_rng([seed, i])
+        else:
+            generator.bit_generator.state = streams[i]
+            rng = generator
         for _ in range(10):
             kept = usable(rng.integers(0, n, size=n))
             if kept is not None:
@@ -302,15 +360,78 @@ def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05
                 break
         else:
             skipped += 1
-        if len(batch) == per_batch:
-            values += score(batch)
-            batch = []
     values += score(batch)
+    point = values.pop(0)
     if not values:
         # n_boot == 0, or no resample was usable: no interval to report
         return BootstrapResult(point, math.nan, math.nan, skipped)
     lo, hi = _percentiles(values, [100 * alpha / 2, 100 * (1 - alpha / 2)])
     return BootstrapResult(point, lo, hi, skipped)
+
+
+def bootstrap_cis(samples, n_boot: int = 1000, alpha: float = 0.05
+                  ) -> list[list[BootstrapResult] | DegenerateLabelsError]:
+    """Percentile bootstraps of several metrics on several samples.
+
+    ``samples`` holds ``(scores, labels, jobs)``, ``jobs`` a sequence of
+    ``(metric, seed)``. Each job's resample ``i`` draws from
+    ``default_rng([seed, i])``, so results do not depend on execution
+    order; a resample on which the metric is degenerate is redrawn up to
+    10 times, then skipped (count reported). Returns, for each sample, a
+    ``BootstrapResult`` per job; or, when the point estimate of one of its
+    jobs is degenerate, that ``DegenerateLabelsError``, and none of the
+    sample's jobs is resampled.
+
+    ``auroc`` and ``auprc`` (or a ``functools.wraps`` wrapper of them) are
+    scored from draw counts over the sample's tie blocks, numbered once per
+    sample, the point estimate included; they are not called. Any other
+    metric, and any sample with a NaN score (its NaN copies rank in draw
+    order, which counts do not record), is called on the sample and on
+    every resample. Every job's streams are seeded in one pass and drawn
+    through one Generator.
+    """
+    prepared = []
+    for scores, labels, jobs in samples:
+        s = np.asarray(scores, dtype=np.float64)
+        y = np.asarray(labels)
+        has_nan = bool(np.isnan(s).any())
+        keys = None
+        scorers = []
+        try:
+            for metric, _ in jobs:
+                counted = None if has_nan else _COUNTED.get(inspect.unwrap(metric))
+                if counted is None:
+                    scorers.append(_scored_per_resample(metric, s, y))
+                    continue
+                if keys is None:
+                    tied, block = np.unique(s, return_inverse=True)
+                    keys = 2 * block + y.astype(bool)
+                scorers.append(_scored_by_counts(*counted, len(tied), keys))
+        except DegenerateLabelsError as exc:
+            prepared.append(exc)
+            continue
+        prepared.append([(scorer, len(s), seed)
+                         for scorer, (_, seed) in zip(scorers, jobs)])
+    seeds = [seed for jobs in prepared if isinstance(jobs, list)
+             for _, _, seed in jobs]
+    streams = iter(_resample_streams(seeds, n_boot))
+    generator = np.random.Generator(np.random.PCG64(0))
+    return [jobs if isinstance(jobs, DegenerateLabelsError) else
+            [_bootstrap_job(*scorer, n, seed, next(streams), generator,
+                            n_boot, alpha)
+             for scorer, n, seed in jobs]
+            for jobs in prepared]
+
+
+def bootstrap_ci(scores, labels, metric, n_boot: int = 1000, alpha: float = 0.05,
+                 seed: int = 0) -> BootstrapResult:
+    """Percentile bootstrap of ``metric`` over paired (score, label)
+    resamples: ``bootstrap_cis`` of one job, which raises
+    ``DegenerateLabelsError`` when the point estimate is degenerate."""
+    (result,) = bootstrap_cis([(scores, labels, [(metric, seed)])], n_boot, alpha)
+    if isinstance(result, DegenerateLabelsError):
+        raise result
+    return result[0]
 
 
 def _u_statistic(ranks_a: np.ndarray, n_a: int) -> float:

@@ -180,16 +180,6 @@ def predict(params: ModelParams, arch: ArchConfig, data: Batch,
     return np.concatenate(chunks, axis=0)
 
 
-def params_digest(params: ModelParams) -> str:
-    """Content hash of a parameter set (names, shapes and exact bytes)."""
-    h = hashlib.sha256()
-    for name in params:
-        h.update(name.encode())
-        h.update(str(params[name].shape).encode())
-        h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
-    return h.hexdigest()
-
-
 _CKPT_MAGIC = b"FSCK"
 _CKPT_VERSION = 1
 

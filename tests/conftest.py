@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -58,6 +59,16 @@ def unflatten_params(flat: np.ndarray, arch: ArchConfig) -> ModelParams:
         out[name] = flat[pos:pos + size].reshape(shape).copy()
         pos += size
     return out
+
+
+def params_digest(params: ModelParams) -> str:
+    """Content hash of a parameter set (names, shapes and exact bytes)."""
+    h = hashlib.sha256()
+    for name in params:
+        h.update(name.encode())
+        h.update(str(params[name].shape).encode())
+        h.update(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def loss_on(params: ModelParams, arch: ArchConfig, data: Batch) -> float:

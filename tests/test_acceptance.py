@@ -24,7 +24,8 @@ from fedsurg import model as M
 from fedsurg import personalize as PZ
 from fedsurg import wire as W
 from fedsurg.preprocess import Preprocessor, chronological_split, shared_scaler
-from conftest import SMALL_ARCH, federate_traced, loss_on, random_batch
+from conftest import (SMALL_ARCH, federate_traced, loss_on, params_digest,
+                      random_batch)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "configs" / "acceptance.yaml"
@@ -117,7 +118,7 @@ def test_criterion_2_aggregator_algebra():
         assert ravg.history == rprox.history
         assert len(avg_trace) == len(prox_trace) == 20
         for pa, pb in zip(avg_trace, prox_trace):
-            assert M.params_digest(pa) == M.params_digest(pb)
+            assert params_digest(pa) == params_digest(pb)
 
         # (ii) SCAFFOLD control-mean invariant after every round
         names = ("a", "b", "c")
@@ -419,7 +420,7 @@ def test_criterion_8_personalization(big):
                           surgeon_vocab_size=vocab,
                           embed_dim=cfg.fine_tune_embed_dim,
                           epochs=cfg.fine_tune_epochs)
-        assert M.params_digest(pm.backbone) == M.params_digest(params)
+        assert params_digest(pm.backbone) == params_digest(params)
         after = PZ.personalized_loss(pm, val_fm)
         assert after <= before, (after, before)
 

@@ -1,24 +1,29 @@
 """End-to-end CLI pipeline on a miniature experiment."""
 
 import dataclasses
+import functools
 import json
 import os
 import shutil
 import signal
+import socket
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from fedsurg import cli
+from fedsurg import cli, wire
 from fedsurg import experiment as exp
 from fedsurg.cohort import cohort_from_csv
 from fedsurg.federation import SiteWorker
-from fedsurg.model import (init_params, load_checkpoint, params_digest,
-                           predict, save_checkpoint)
+from fedsurg.model import init_params, load_checkpoint, predict, save_checkpoint
 from fedsurg.preprocess import Preprocessor
 from fedsurg.wire import Hello, Shutdown
+from conftest import params_digest
 
 
 def _config(tmp_path):
@@ -476,6 +481,30 @@ def test_serve_site_reads_only_its_own_cohort(tmp_path, monkeypatch):
     assert channel.sent[0].client_id == "a"
 
 
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_serve_site_without_a_coordinator_is_one_line(pipeline, tmp_path,
+                                                      capsys, monkeypatch):
+    # no coordinator listening once ended in a ChannelClosed traceback
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+    port = _free_port()
+    _set(cfg_path, ("transport",), {"host": "127.0.0.1", "port": port})
+    monkeypatch.setattr(cli, "connect_socket", functools.partial(
+        wire.connect_socket, retries=3, delay=0.01))
+    capsys.readouterr()
+    assert cli.main(["serve-site", "--config", str(cfg_path),
+                     "--site", "a"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: could not connect to 127.0.0.1:{port}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_serve_coordinator_failure_is_one_line_and_no_checkpoint(tmp_path,
                                                                  monkeypatch):
     from fedsurg.federation import FederationError
@@ -582,6 +611,27 @@ def test_train_with_non_finite_weights_writes_no_checkpoint(tmp_path, capsys,
     _assert_reaped(forked)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--paradigm", "local"], ["--paradigm", "federated", "--algo", "fedavg"]],
+    ids=["local", "fedavg"])
+def test_training_overflow_is_one_stderr_line(tmp_path, argv):
+    # numpy's overflow and invalid-value warnings, each with its source
+    # line, once came before the error line; they are written in the worker
+    # processes, so only the command's own stderr shows them
+    cfg_path, out = _config(tmp_path)
+    _set(cfg_path, ("train", "lr"), 1.0e+300)
+    assert cli.main(["generate", "--config", str(cfg_path)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsurg.cli", "--log-level", "WARNING",
+         "train", "--config", str(cfg_path), *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert not list(out.rglob("*.ckpt"))
+
+
 def _trained_results(cfg_path, monkeypatch, slots):
     """What `train` gets back from each paradigm with ``slots`` workers."""
     seen = {}
@@ -652,15 +702,15 @@ def test_evaluate_cell_failure_is_one_line(pipeline, tmp_path, capsys,
                                            monkeypatch, forked):
     _, trained = pipeline
     cfg_path, out = _trained_copy(trained, tmp_path)
-    bootstrap_ci = exp.metrics.bootstrap_ci
+    bootstrap_cis = exp.metrics.bootstrap_cis
     planted = zlib.crc32(b"fedavg|b|icu") ^ 9  # the cell seed of one cell
 
-    def failing(*args, seed=0, **kw):
-        if seed == planted:
+    def failing(samples, *args, **kw):
+        if any(seed == planted for *_, jobs in samples for _, seed in jobs):
             raise ValueError("planted")
-        return bootstrap_ci(*args, seed=seed, **kw)
+        return bootstrap_cis(samples, *args, **kw)
 
-    monkeypatch.setattr(exp.metrics, "bootstrap_ci", failing)
+    monkeypatch.setattr(exp.metrics, "bootstrap_cis", failing)
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == "error: fedavg@b: ValueError: planted\n"

@@ -11,11 +11,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from fedsurg import experiment as E
-from fedsurg import model as M
 from fedsurg.cohort import OUTCOME_NAMES
 from fedsurg.federation import RoundRecord
 from fedsurg.preprocess import shared_scaler
 from fedsurg.wire import GlobalScaler, RoundAck, decode_frame, encode_frame
+from conftest import params_digest
 
 
 def _doc(**kw):
@@ -219,7 +219,7 @@ def test_central_on_single_site_equals_local(cfg, prepared):
     local = E.run_local_paradigm(solo, sites)["a"]
     central, _pp = E.run_central_paradigm(solo, sites)
     assert local.history == central.history
-    assert M.params_digest(local.best_params) == M.params_digest(central.best_params)
+    assert params_digest(local.best_params) == params_digest(central.best_params)
 
 
 def test_federated_paradigm_runs(cfg, prepared):

@@ -13,7 +13,7 @@ from fedsurg.preprocess import Preprocessor, chronological_split, shared_scaler
 from fedsurg.wire import (ChannelClosed, ClientUpdate, GlobalModel,
                           GlobalScaler, Hello, ProtocolError, RoundAck,
                           ScalerStats, quantize32)
-from conftest import SMALL_ARCH, federate_traced, random_batch
+from conftest import SMALL_ARCH, federate_traced, params_digest, random_batch
 
 
 def _params(seed):
@@ -37,7 +37,7 @@ def test_fedavg_aggregate_is_order_invariant():
     updates = [_update("a", 1, 10), _update("b", 2, 20), _update("c", 3, 5)]
     g1 = F.fedavg_aggregate(updates)
     g2 = F.fedavg_aggregate(updates[::-1])
-    assert M.params_digest(g1) == M.params_digest(g2)
+    assert params_digest(g1) == params_digest(g2)
 
 
 def test_fedavg_aggregate_rejects_layout_mismatch():
@@ -210,7 +210,7 @@ def test_inprocess_run_shape_and_determinism():
     assert [h.round for h in r1.history] == list(range(len(r1.history)))
     assert set(r1.history[0].train_loss) == {"a", "b"}
     assert 0 <= r1.best_round < cfg.rounds
-    assert M.params_digest(r1.best_params) == M.params_digest(r2.best_params)
+    assert params_digest(r1.best_params) == params_digest(r2.best_params)
     assert r1.history == r2.history
 
 
@@ -221,7 +221,7 @@ def test_fedprox_mu_zero_matches_fedavg_bitwise():
     rprox = F.run_federation_inprocess(SMALL_ARCH, "fedprox", cfg,
                                        _workers("fedprox", cfg))
     assert ravg.history == rprox.history
-    assert M.params_digest(ravg.final_params) == M.params_digest(rprox.final_params)
+    assert params_digest(ravg.final_params) == params_digest(rprox.final_params)
 
 
 def test_fedprox_mu_positive_differs():
@@ -231,7 +231,7 @@ def test_fedprox_mu_positive_differs():
                                     _workers("fedprox", cfg0))
     r1 = F.run_federation_inprocess(SMALL_ARCH, "fedprox", cfg1,
                                     _workers("fedprox", cfg1))
-    assert M.params_digest(r0.final_params) != M.params_digest(r1.final_params)
+    assert params_digest(r0.final_params) != params_digest(r1.final_params)
 
 
 def test_scaffold_inprocess_control_invariant():

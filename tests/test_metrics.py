@@ -7,6 +7,7 @@ arithmetic, so they share no code path with the implementations.
 import functools
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -409,7 +410,8 @@ def _call_counting(metric):
 
 def _assert_bootstrap_bitwise(scores, labels, n_boot, seed):
     """``bootstrap_ci`` of AUROC and AUPRC equals the resample-and-sort loop
-    bit for bit; without a NaN score, no resample calls the metric."""
+    bit for bit; without a NaN score, neither the point estimate nor any
+    resample calls the metric."""
     for metric in (metrics.auroc, metrics.auprc):
         try:
             want = _bootstrap_loop(scores, labels, metric, n_boot, seed)
@@ -422,7 +424,7 @@ def _assert_bootstrap_bitwise(scores, labels, n_boot, seed):
         assert _bits([r.point, r.ci_low, r.ci_high]) == _bits(want[:3])
         assert r.n_skipped == want[3]
         if not np.isnan(scores).any():
-            assert counting.calls == 1          # the point estimate only
+            assert counting.calls == 0          # scored from counts
 
 
 @st.composite
@@ -471,6 +473,79 @@ def test_counted_bootstrap_equals_resample_loop_on_edge_cases():
     _assert_bootstrap_bitwise(np.array([0.0, -0.0, 0.0, -0.0, 0.0]),
                               np.array([1, 0, 0, 1, 0]), 30, 3)
     _assert_bootstrap_bitwise(np.full(4, np.nan), np.array([1, 0, 1, 0]), 10, 4)
+
+
+def _cell_sample(rng, n):
+    """Scores and labels of four outcomes a cell can meet: tied scores;
+    one positive in ``n`` (most draws redrawn); NaN scores (scored per
+    resample); no positive (a degenerate AUROC point)."""
+    u = rng.uniform(0, 1, (n, 4))
+    probs = np.column_stack([np.round(u[:, 0], 1), u[:, 1],
+                             np.where(u[:, 3] < 0.1, np.nan, u[:, 2]), u[:, 3]])
+    single = np.zeros(n)
+    single[rng.integers(n)] = 1.0
+    labels = np.column_stack([u[:, 0] < 0.4, single, u[:, 2] < 0.5,
+                              np.zeros(n)]).astype(float)
+    return probs, labels
+
+
+@pytest.mark.parametrize("n_boot", [0, 1, 13, 40])
+def test_cell_bootstraps_equal_the_resample_loop(n_boot):
+    """``score_unit``'s one engine call per cell gives each outcome's AUROC
+    and AUPRC the bits of two separate resample-and-sort loops, seeded
+    with the cell seed and the cell seed + 1."""
+    rng = np.random.default_rng(40 + n_boot)
+    probs, labels = _cell_sample(rng, 37)
+    cells = experiment.score_unit("m", "s", probs, labels, None, None,
+                                  n_boot, seed=77)
+    for k, cell in enumerate(cells):
+        s, y = probs[:, k], labels[:, k]
+        cell_seed = zlib.crc32(f"m|s|{cell.outcome}".encode()) ^ 77
+        if not 0 < y.sum() < len(y):
+            with pytest.raises(metrics.DegenerateLabelsError):
+                _bootstrap_loop(s, y, metrics.auroc, n_boot, cell_seed)
+            for r in (cell.auroc, cell.auprc):
+                assert np.isnan([r.point, r.ci_low, r.ci_high]).all()
+                assert r.n_skipped == 0
+            continue
+        for r, metric, seed in ((cell.auroc, metrics.auroc, cell_seed),
+                                (cell.auprc, metrics.auprc, cell_seed + 1)):
+            want = _bootstrap_loop(s, y, metric, n_boot, seed)
+            assert _bits([r.point, r.ci_low, r.ci_high]) == _bits(want[:3])
+            assert r.n_skipped == want[3]
+
+
+@st.composite
+def _engine_calls(draw):
+    """Up to three samples with one n_boot, each with up to three jobs of
+    AUROC, AUPRC or a metric the engine calls on every resample."""
+    samples = [draw(_bootstrap_samples()) for _ in range(draw(st.integers(1, 3)))]
+    n_boot = samples[0][2]
+    plain_auroc = lambda s, y: metrics.auroc(s, y)      # not counted
+    metric = st.sampled_from([metrics.auroc, metrics.auprc, plain_auroc])
+    seed = st.integers(0, 2**32 - 1) | st.just(2**32) | st.integers(0, 9)
+    return [(s, y, draw(st.lists(st.tuples(metric, seed), min_size=1,
+                                 max_size=3)))
+            for s, y, _, _ in samples], n_boot
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_engine_calls())
+def test_engine_equals_the_resample_loop_per_job(call):
+    """Every job of a ``bootstrap_cis`` call gets the bits of its own
+    resample-and-sort loop, or its sample the error of a degenerate point."""
+    samples, n_boot = call
+    for (s, y, jobs), got in zip(samples, metrics.bootstrap_cis(samples, n_boot)):
+        try:
+            wants = [_bootstrap_loop(s, y, metric, n_boot, seed)
+                     for metric, seed in jobs]
+        except metrics.DegenerateLabelsError:
+            assert isinstance(got, metrics.DegenerateLabelsError)
+            continue
+        assert len(got) == len(jobs)
+        for r, want in zip(got, wants):
+            assert _bits([r.point, r.ci_low, r.ci_high]) == _bits(want[:3])
+            assert r.n_skipped == want[3]
 
 
 def _distinct_only(metric):
@@ -616,21 +691,75 @@ def _rng_bits(rng):
     return rng.bit_generator.state["state"], rng.integers(0, 2**62, 4).tolist()
 
 
+def _seeded(state):
+    """A generator set to ``state``, one of ``_pcg64_states``'s."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    return rng
+
+
+def _resample_rng(seed, i):
+    """The generator the bootstrap draws resample ``i`` of ``seed`` from:
+    one set to the seeding pass's state, or ``default_rng([seed, i])`` for
+    a seed the pass gives none (one of two words or more)."""
+    (states,) = metrics._resample_streams([seed], 1)
+    if states is None:
+        return np.random.default_rng([seed, i])
+    (state,) = metrics._pcg64_states(np.array([seed], dtype=np.uint32),
+                                     np.array([i], dtype=np.uint32))
+    return _seeded(state)
+
+
 _SEED_EDGES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 123456789, 2**64 + 3]
+_INDEX_EDGES = [0, 1, 9, 999, 2**32 - 1]
 
 
 @pytest.mark.parametrize("seed", _SEED_EDGES)
-@pytest.mark.parametrize("i", [0, 1, 9, 999, 2**32 - 1])
+@pytest.mark.parametrize("i", _INDEX_EDGES)
 def test_resample_rng_equals_the_list_seed(seed, i):
-    assert _rng_bits(metrics._resample_rng(seed, i)) == _rng_bits(
+    assert _rng_bits(_resample_rng(seed, i)) == _rng_bits(
         np.random.default_rng([seed, i]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.integers(0, 2**70), st.integers(0, 2**32 - 1))
 def test_resample_rng_equals_the_list_seed_anywhere(seed, i):
-    assert _rng_bits(metrics._resample_rng(seed, i)) == _rng_bits(
+    assert _rng_bits(_resample_rng(seed, i)) == _rng_bits(
         np.random.default_rng([seed, i]))
+
+
+def test_seeding_pass_over_many_streams_equals_the_list_seed():
+    """One pass over every (seed, i) of the edges below 2**32 gives the state
+    of each ``default_rng([seed, i])``; ``_resample_streams`` gives each
+    seed's first ``n_boot`` states, and none to a seed of two words."""
+    inside = [(seed, i) for seed in _SEED_EDGES if seed < 2**32
+              for i in _INDEX_EDGES]
+    seeds, index = np.array(inside, dtype=np.uint32).T
+    for (seed, i), state in zip(inside, metrics._pcg64_states(seeds, index)):
+        assert state == np.random.default_rng([seed, i]).bit_generator.state
+    streams = metrics._resample_streams(_SEED_EDGES, 3)
+    for seed, states in zip(_SEED_EDGES, streams):
+        assert (states is None) == (seed >= 2**32)
+        for i, state in enumerate(states or []):
+            assert state == np.random.default_rng([seed, i]).bit_generator.state
+    assert metrics._resample_streams([5, 2**40], 0) == [[], None]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 700), st.integers(1, 12))
+def test_one_reused_generator_draws_each_stream_exactly(seed, n, k):
+    """The streams of ``seed`` set one after another into one generator, as
+    the bootstrap sets them, draw what ``default_rng([seed, i])`` draws over
+    three consecutive draws: odd sizes leave a buffered half word that the
+    next draw of a stream uses and the next stream must not."""
+    (states,) = metrics._resample_streams([seed], k)
+    reused = np.random.Generator(np.random.PCG64(0))
+    for i, state in enumerate(states):
+        reused.bit_generator.state = state
+        fresh = np.random.default_rng([seed, i])
+        for _ in range(3):
+            assert reused.integers(0, n, size=n).tolist() == fresh.integers(
+                0, n, size=n).tolist()
 
 
 def test_bootstrap_with_cell_seed_at_two_to_the_32():
@@ -640,7 +769,6 @@ def test_bootstrap_with_cell_seed_at_two_to_the_32():
     probs = rng.uniform(0, 1, (60, 4))
     labels = (rng.uniform(0, 1, (60, 4)) < probs).astype(float)
     # zlib.crc32(...) ^ seed is the cell seed of the first outcome
-    import zlib
     crc = zlib.crc32(b"m|s|icu")
     seed = crc ^ (2**32 - 1)
     cell = experiment.evaluate_scores("m", "s", probs, labels, None, None,

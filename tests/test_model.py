@@ -11,7 +11,8 @@ from scipy.special import expit
 
 from fedsurg import model as M
 from fedsurg.federation import TrainConfig
-from conftest import flatten_params, loss_on, random_batch, unflatten_params
+from conftest import (flatten_params, loss_on, params_digest, random_batch,
+                      unflatten_params)
 
 
 def _numpy_forward(params, arch, batch):
@@ -67,8 +68,8 @@ def test_init_params_deterministic(small_arch):
     p1 = M.init_params(small_arch, 5)
     p2 = M.init_params(small_arch, 5)
     p3 = M.init_params(small_arch, 6)
-    assert M.params_digest(p1) == M.params_digest(p2)
-    assert M.params_digest(p1) != M.params_digest(p3)
+    assert params_digest(p1) == params_digest(p2)
+    assert params_digest(p1) != params_digest(p3)
 
 
 def test_flatten_unflatten_roundtrip(small_arch):
@@ -95,7 +96,7 @@ def test_checkpoint_roundtrip(tmp_path, small_arch):
     M.save_checkpoint(path, params, small_arch)
     loaded, fp = M.load_checkpoint(path, small_arch)
     assert fp == M.arch_fingerprint(small_arch)
-    assert M.params_digest(loaded) == M.params_digest(params)
+    assert params_digest(loaded) == params_digest(params)
 
 
 def test_checkpoint_rejects_wrong_arch(tmp_path, small_arch):
@@ -176,7 +177,7 @@ def test_local_train_prox_mu_zero_is_bitwise_identity(small_arch):
                           np.random.default_rng(3))
     prox0 = M.local_train(params, M.network(small_arch), data, _cfg(),
                           np.random.default_rng(3), prox=(0.0, params))
-    assert M.params_digest(plain.params) == M.params_digest(prox0.params)
+    assert params_digest(plain.params) == params_digest(prox0.params)
 
 
 def test_local_train_prox_pulls_toward_anchor(small_arch):
@@ -214,7 +215,7 @@ def test_local_train_and_predict_golden(small_arch):
                         _cfg(local_epochs=2, batch_size=8),
                         np.random.default_rng(7))
     assert rep.steps_taken == 14
-    assert M.params_digest(rep.params) == (
+    assert params_digest(rep.params) == (
         "82ca2037efa47c21a5b895ffa1311fd37d7a5f06ded3fd2ff7aab1309e6511a9")
     probs = M.predict(rep.params, small_arch, random_batch(small_arch, 23, 8),
                       batch_size=10)

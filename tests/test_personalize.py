@@ -11,7 +11,7 @@ import fedsurg.autodiff as ad
 from fedsurg import model as M
 from fedsurg import personalize as P
 from fedsurg.federation import TrainConfig
-from conftest import SMALL_ARCH, random_batch
+from conftest import SMALL_ARCH, params_digest, random_batch
 
 
 VOCAB = 12
@@ -51,7 +51,7 @@ def test_fine_tune_freezes_backbone_and_reduces_loss():
     before = P.personalized_loss(P.warm_start(params, SMALL_ARCH, VOCAB), batch)
     pm = P.fine_tune(params, SMALL_ARCH, batch, cfg, seed=0,
                      surgeon_vocab_size=VOCAB, epochs=4)
-    assert M.params_digest(pm.backbone) == M.params_digest(params)
+    assert params_digest(pm.backbone) == params_digest(params)
     after = P.personalized_loss(pm, batch)
     assert after <= before
 
