@@ -32,6 +32,8 @@ from pathlib import Path
 # before the package's modules load numpy, and so OpenBLAS
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import numpy as np
+
 from . import experiment as exp
 from .cohort import OUTCOME_NAMES, cohort_from_csv, cohort_to_csv
 from .federation import ALGORITHMS, FederationError, coordinate
@@ -146,6 +148,11 @@ def _model_checkpoints(cfg: exp.ExperimentConfig, out: Path):
                         != param_shapes(cfg.arch)):
                     raise ValueError(f"{path} does not hold the tensors of "
                                      "the config's architecture")
+                # train writes no such file; its scores would all be NaN
+                for tensor, value in found[name].items():
+                    if not np.isfinite(value).all():
+                        raise ValueError(f"{path}: tensor {tensor} holds a "
+                                         "value that is not finite")
             except ValueError as exc:
                 # every message names the file
                 raise SystemExit(f"{exc}; run `fedsurg train` again") from exc

@@ -21,10 +21,13 @@ import math
 import os
 import zlib
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
+import orjson
 from scipy.special import expit
 
 OUTCOME_NAMES = ("icu", "mv", "aki", "mortality")
@@ -371,6 +374,92 @@ def generate_site(cfg: SiteConfig, spec: FeatureSpec, truth: GroundTruthModel,
     return cohort, report
 
 
+# --- CSV text -------------------------------------------------------------
+#
+# The writers format numbers a block at a time: orjson writes a whole numpy
+# array in one call, and for a float64 it writes what repr writes, the
+# shortest digit string that reads back as the same double, wherever both
+# write it without an exponent.
+
+@contextmanager
+def atomic_open(path, mode: str = "w", newline: str | None = None):
+    """``path`` opened for writing, through ``<path>.partial``, which is
+    renamed into place only once everything is written: a write that
+    fails, or a process killed mid-write, leaves no file cut short at
+    ``path``. A failed write removes its ``.partial`` file; a killed
+    process may leave it."""
+    partial = Path(f"{path}.partial")
+    try:
+        with open(partial, mode, newline=newline) as fh:
+            yield fh
+        # ext4 starts writing a file back at once when it is renamed over
+        # another; renamed into a free name, it stays in the page cache
+        Path(path).unlink(missing_ok=True)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a field of ``csv.writer``'s default dialect: quoted, with
+    its quotes doubled, when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _json_text(block: np.ndarray) -> str:
+    """orjson's text of the 2-D ``block``."""
+    return orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode("ascii")
+
+
+def _json_rows(text: str) -> list[str]:
+    """The rows of ``_json_text``'s text of a block, each the text of its
+    cells joined by commas."""
+    return [] if text == "[]" else text[2:-2].split("],[")
+
+
+def _block(values, dtype) -> np.ndarray:
+    """``values`` as a C-contiguous 2-D array of ``dtype``; a 1-D array is
+    one column."""
+    block = np.ascontiguousarray(values, dtype=dtype)
+    return block.reshape(-1, 1) if block.ndim == 1 else block
+
+
+def int_rows(block) -> list[str]:
+    """Each row of the integer ``block`` (a 1-D block is one column) as
+    ``str`` of its values as int64, joined by commas."""
+    return _json_rows(_json_text(_block(block, np.int64)))
+
+
+def float_rows(block, nan_text: str) -> list[str]:
+    """Each row of ``block`` as float64 (a 1-D block is one column) as
+    ``repr`` of its values joined by commas, a NaN written as ``nan_text``.
+
+    The rows are orjson's text of the block, NaN's ``null`` replaced. A row
+    is rebuilt value by value where orjson's text may differ from repr's:
+    when it holds an infinity (orjson writes ``null``), a zero or integral
+    value, or a magnitude outside [1e-4, 1e16), where repr writes an
+    exponent, or when orjson's text of it holds one.
+    """
+    block = _block(block, np.float64)
+    nan = np.isnan(block)
+    size = np.abs(block)
+    plain = nan | ((size >= 1e-4) & (size < 1e16) & (np.floor(block) != block))
+    rebuild = ~plain.all(axis=1)
+    text = _json_text(block)
+    if "e" in text:
+        rebuild |= np.array(["e" in row for row in _json_rows(text)])
+    if nan.any():
+        text = text.replace("null", nan_text)
+    rows = _json_rows(text)
+    for i in np.flatnonzero(rebuild).tolist():
+        rows[i] = ",".join([nan_text if math.isnan(v) else repr(v)
+                            for v in block[i].tolist()])
+    return rows
+
+
 # --- CSV round trip -------------------------------------------------------
 #
 # cohort_to_csv writes the CSV, then ``<path>.columns``: a columnar copy of
@@ -426,9 +515,13 @@ def _as_parsed(name: str, col: np.ndarray) -> np.ndarray:
 
 
 def cohort_to_csv(cohort: Cohort, path) -> None:
-    """One row per encounter; empty cell = missing; labels as 0/1 columns.
-    The columnar copy is written after the CSV, so a crash between the two
-    leaves a copy whose digest no longer matches."""
+    """One row per encounter, as ``csv.writer`` writes it: ids quoted
+    where it quotes them, dates in ISO form, ``repr`` of each float and
+    ``str`` of each integer (``float_rows`` and ``int_rows``), an empty
+    cell for a missing continuous value or category, labels as 0/1
+    columns. The CSV and then its columnar copy are each written through
+    ``atomic_open``, so a crash leaves no CSV cut short, and at worst a
+    copy whose digest no longer matches."""
     n_cont, n_bin, n_cat = (cohort.continuous.shape[1], cohort.binary.shape[1],
                             cohort.categorical.shape[1])
     header = (_BASE_COLUMNS
@@ -436,31 +529,33 @@ def cohort_to_csv(cohort: Cohort, path) -> None:
               + [f"bin_{i:02d}" for i in range(n_bin)]
               + [f"cat_{i}" for i in range(n_cat)]
               + list(OUTCOME_NAMES))
-    b, c, d = len(_BASE_COLUMNS) + np.cumsum([n_cont, n_bin, n_cat])
     days = np.concatenate([cohort.admission_date, cohort.surgery_date]).tolist()
     iso = {day: _iso(day) for day in set(days)}
-    # the csv writer formats a float with repr() and None as an empty cell
-    table = np.empty((len(cohort), len(header)), dtype=object)
-    for j, col in enumerate((
-            cohort.patient_id, cohort.encounter_id,
-            [iso[day] for day in cohort.admission_date.tolist()], cohort.age,
-            cohort.esrd.astype(np.int8), cohort.surgeon_id, cohort.procedure_code,
-            cohort.work_units, [iso[day] for day in cohort.surgery_date.tolist()])):
-        table[:, j] = col
-    table[:, len(_BASE_COLUMNS):b] = cohort.continuous
-    table[:, len(_BASE_COLUMNS):b][np.isnan(cohort.continuous)] = None
-    table[:, b:c] = cohort.binary
-    table[:, c:d] = cohort.categorical
-    table[:, c:d][cohort.categorical < 0] = None
-    table[:, d:] = cohort.outcomes
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(table.tolist())
-    with open(path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).digest()
-    with open(_copy_path(path), "wb") as fh:
-        np.save(fh, np.frombuffer(digest, dtype=np.uint8), allow_pickle=False)
+    # every negative category reads -1, the only "-" in the block's text
+    missing = cohort.categorical < 0
+    categorical = int_rows(np.where(missing, -1, cohort.categorical))
+    if missing.any():
+        categorical = [row.replace("-1", "") for row in categorical]
+    columns = [
+        map(_csv_field, cohort.patient_id.tolist()),
+        map(_csv_field, cohort.encounter_id.tolist()),
+        [iso[day] for day in cohort.admission_date.tolist()],
+        float_rows(cohort.age, "nan"),
+        int_rows(np.column_stack([cohort.esrd.astype(np.int8),
+                                  cohort.surgeon_id, cohort.procedure_code])),
+        float_rows(cohort.work_units, "nan"),
+        [iso[day] for day in cohort.surgery_date.tolist()],
+        *(rows for rows, width in (
+            (float_rows(cohort.continuous, ""), n_cont),
+            (int_rows(cohort.binary), n_bin), (categorical, n_cat),
+            (int_rows(cohort.outcomes), cohort.outcomes.shape[1])) if width)]
+    data = "\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]
+                        ).encode("utf-8")
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
+    with atomic_open(_copy_path(path), "wb") as fh:
+        np.save(fh, np.frombuffer(hashlib.sha256(data).digest(), dtype=np.uint8),
+                allow_pickle=False)
         for name in _COLUMNS:
             np.save(fh, _as_parsed(name, getattr(cohort, name)), allow_pickle=False)
 
@@ -544,7 +639,10 @@ def _read_copy(path, csv_bytes: bytes) -> list[np.ndarray] | None:
                 return None
     except (OSError, ValueError):
         return None
-    header = next(csv.reader([csv_bytes.partition(b"\n")[0].decode("utf-8")]))
+    # the header line, sliced without copying the rest of the CSV
+    end = csv_bytes.find(b"\n")
+    line = csv_bytes if end < 0 else csv_bytes[:end]
+    header = next(csv.reader([line.decode("utf-8")]))
     for name, col in zip(_COLUMNS, columns):
         dtype = _DTYPES[name]
         if dtype == "U" and col.dtype.kind == "U":

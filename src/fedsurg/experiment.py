@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import os
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -23,7 +21,8 @@ import yaml
 
 from . import metrics
 from .cohort import (Cohort, FeatureSpec, GenerationReport, GroundTruthModel,
-                     OUTCOME_NAMES, SiteConfig, generate_site, make_ground_truth)
+                     OUTCOME_NAMES, SiteConfig, _csv_field, atomic_open,
+                     float_rows, generate_site, int_rows, make_ground_truth)
 from .federation import (ALGORITHMS, RoundRecord, SiteWorker, TrainConfig,
                          TrainResult, run_federation_inprocess, run_rounds,
                          validation_auroc)
@@ -507,26 +506,6 @@ def score_unit(model: str, site: str, probs: np.ndarray, labels: np.ndarray,
 
 # --- artifact io ----------------------------------------------------------
 
-@contextmanager
-def atomic_open(path, newline: str | None = None):
-    """``path`` opened for writing text, through ``<path>.partial``, which
-    is renamed into place only once everything is written: a write that
-    fails, or a process killed mid-write, leaves no file cut short at
-    ``path``. A failed write removes its ``.partial`` file; a killed
-    process may leave it."""
-    partial = Path(f"{path}.partial")
-    try:
-        with open(partial, "w", newline=newline) as fh:
-            yield fh
-        # ext4 starts writing a file back at once when it is renamed over
-        # another; renamed into a free name, it stays in the page cache
-        Path(path).unlink(missing_ok=True)
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-
-
 def write_history_csv(path, history: list[RoundRecord]) -> None:
     clients = sorted(history[0].train_loss) if history else []
     with open(path, "w", newline="") as fh:
@@ -538,28 +517,18 @@ def write_history_csv(path, history: list[RoundRecord]) -> None:
                             + [repr(rec.train_loss[c]) for c in clients])
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as a field of ``csv.writer``'s default dialect: quoted, with
-    its quotes doubled, when it holds a comma, a quote or a line break."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_scores_csv(path, encounter_ids, probs: np.ndarray,
                      labels: np.ndarray) -> None:
-    """One row per encounter: its id, ``repr`` of each score as a Python
-    float and ``str`` of each integer label, the text ``csv.writer`` writes
-    for them with ``\\r\\n`` line ends. Formatted a column at a time and
-    written in one call."""
-    fields = ([list(map(repr, c))
-               for c in np.asarray(probs, dtype=np.float64).T.tolist()]
-              + [list(map(str, c))
-                 for c in np.asarray(labels).astype(np.int64).T.tolist()])
+    """One row per encounter: its id, ``repr`` of each score as a float64
+    (NaN as ``nan``, through ``float_rows``) and ``str`` of each label as
+    an int64, the text ``csv.writer`` writes for them with ``\\r\\n`` line
+    ends. Written in one call, through ``atomic_open``."""
     header = ",".join(["encounter_id"]
                       + [f"score_{o}" for o in OUTCOME_NAMES]
                       + [f"label_{o}" for o in OUTCOME_NAMES])
-    rows = map(",".join, zip(map(_csv_field, encounter_ids), *fields))
+    rows = map(",".join, zip(map(_csv_field, encounter_ids),
+                             float_rows(probs, "nan"),
+                             int_rows(labels)))
     with atomic_open(path, newline="") as fh:
         fh.write("\r\n".join([header, *rows, ""]))
 

@@ -201,9 +201,16 @@ def _transposed_tensor(path, arch):
     save_checkpoint(path, params, arch)
 
 
+def _nan_in_a_tensor(path, arch):
+    params, _ = load_checkpoint(path, arch)
+    params["merge.b"][0] = np.nan
+    save_checkpoint(path, params, arch)
+
+
 @pytest.mark.parametrize("damage", [
-    _truncated, _other_architecture, _transposed_tensor],
-    ids=["truncated", "other-architecture", "transposed-tensor"])
+    _truncated, _other_architecture, _transposed_tensor, _nan_in_a_tensor],
+    ids=["truncated", "other-architecture", "transposed-tensor",
+         "nan-in-a-tensor"])
 def test_bad_checkpoint_stops_evaluate_with_one_line(pipeline, tmp_path,
                                                      damage):
     trained_cfg, trained = pipeline
@@ -218,6 +225,8 @@ def test_bad_checkpoint_stops_evaluate_with_one_line(pipeline, tmp_path,
     assert isinstance(message, str) and "\n" not in message
     assert str(path) in message
     assert message.endswith("; run `fedsurg train` again")
+    if damage is _nan_in_a_tensor:
+        assert "merge.b" in message
     assert not list((out / "scores").iterdir())
 
 

@@ -2,8 +2,10 @@
 calibration, the CSV round trip and the columnar layout checked against a
 record-by-record oracle."""
 
+import csv
 import hashlib
 import io
+import math
 import tempfile
 from pathlib import Path
 
@@ -425,6 +427,202 @@ def test_csv_writes_one_row_per_encounter(tmp_path):
             assert cell == ("" if np.isnan(v) else repr(v))
         cats = cells[9 + SPEC.n_continuous + SPEC.n_binary:-4]
         assert cats == ["" if c < 0 else str(c) for c in cohort.categorical[i]]
+
+
+# --- the bulk number text, against repr and the csv.writer writer ------------
+
+def _repr_rows(block, nan_text):
+    block = np.asarray(block, dtype=np.float64)
+    return [",".join(nan_text if math.isnan(v) else repr(v) for v in row)
+            for row in (block[:, None] if block.ndim == 1 else block).tolist()]
+
+
+# where repr's notation turns to exponents, and values either side of it
+_BOUNDS = [1e-4, 1e16, 1e-5, 1e15, 1e17, 1e22, 5e-324, 2.2250738585072014e-308]
+_EDGE_FLOATS = st.sampled_from(
+    [v for b in _BOUNDS for v in (b, np.nextafter(b, 0.0), np.nextafter(b, np.inf),
+                                  -b, -np.nextafter(b, 0.0))]
+    + [0.0, -0.0, 1.0, -3.0, 2.0**53, 2.0**53 + 2, 0.5, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _float_blocks(draw):
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    values = st.floats() | _EDGE_FLOATS | st.floats(1e-5, 1e-3) | st.floats(
+        1e15, 1e17) | st.floats(-1e-300, 1e-300) | st.floats(0.0, 1.0)
+    block = np.array(draw(st.lists(values, min_size=n * m, max_size=n * m)),
+                     dtype=np.float64).reshape(n, m)
+    layout = draw(st.sampled_from(["C", "Fortran", "column", "float32"]))
+    if layout == "Fortran":
+        return np.asfortranarray(block)
+    if layout == "column":
+        return block[:, 0] if m else block.reshape(-1)
+    if layout == "float32":
+        with np.errstate(over="ignore"):
+            return block.astype(np.float32)
+    return block
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_float_blocks(), st.sampled_from(["nan", ""]))
+def test_float_rows_are_repr_text(block, nan_text):
+    assert C.float_rows(block, nan_text) == _repr_rows(block, nan_text)
+
+
+def test_float_rows_are_repr_text_in_bulk():
+    """Distributions the writers see, and magnitudes across the range of
+    float64: every value's text is repr's."""
+    rng = np.random.default_rng(22)
+    n = 20_000
+    magnitudes = 10.0 ** rng.uniform(-320, 20, n) * rng.choice([-1.0, 1.0], n)
+    for block in (rng.uniform(0, 1, (n, 4)),
+                  1 / (1 + np.exp(-rng.normal(0, 8, (n, 4)))),
+                  magnitudes.reshape(-1, 4), rng.normal(0, 1e3, (n, 4)),
+                  np.round(rng.normal(0, 2, (n, 4)), 6)):
+        block[rng.random(block.shape) < 0.05] = np.nan
+        assert C.float_rows(block, "") == _repr_rows(block, "")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=24),
+       st.sampled_from([1, 2, 3]))
+def test_int_rows_are_str_text(values, width):
+    block = np.array(values[:len(values) // width * width],
+                     dtype=np.int64).reshape(-1, width)
+    assert C.int_rows(block) == [",".join(map(str, row)) for row in block.tolist()]
+    assert C.int_rows(block.astype(np.int8)) == [
+        ",".join(map(str, row)) for row in block.astype(np.int8).tolist()]
+
+
+def _reference_cohort_to_csv(cohort, path):
+    """The CSV and columnar copy as written row by row through csv.writer,
+    each value formatted by it."""
+    n_cont, n_bin, n_cat = (cohort.continuous.shape[1], cohort.binary.shape[1],
+                            cohort.categorical.shape[1])
+    header = (C._BASE_COLUMNS
+              + [f"cont_{i:02d}" for i in range(n_cont)]
+              + [f"bin_{i:02d}" for i in range(n_bin)]
+              + [f"cat_{i}" for i in range(n_cat)]
+              + list(C.OUTCOME_NAMES))
+    b, c, d = len(C._BASE_COLUMNS) + np.cumsum([n_cont, n_bin, n_cat])
+    days = np.concatenate([cohort.admission_date, cohort.surgery_date]).tolist()
+    iso = {day: C._iso(day) for day in set(days)}
+    table = np.empty((len(cohort), len(header)), dtype=object)
+    for j, col in enumerate((
+            cohort.patient_id, cohort.encounter_id,
+            [iso[day] for day in cohort.admission_date.tolist()], cohort.age,
+            cohort.esrd.astype(np.int8), cohort.surgeon_id, cohort.procedure_code,
+            cohort.work_units, [iso[day] for day in cohort.surgery_date.tolist()])):
+        table[:, j] = col
+    table[:, len(C._BASE_COLUMNS):b] = cohort.continuous
+    table[:, len(C._BASE_COLUMNS):b][np.isnan(cohort.continuous)] = None
+    table[:, b:c] = cohort.binary
+    table[:, c:d] = cohort.categorical
+    table[:, c:d][cohort.categorical < 0] = None
+    table[:, d:] = cohort.outcomes
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(table.tolist())
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).digest()
+    with open(C._copy_path(path), "wb") as fh:
+        np.save(fh, np.frombuffer(digest, dtype=np.uint8), allow_pickle=False)
+        for name in C._COLUMNS:
+            np.save(fh, C._as_parsed(name, getattr(cohort, name)), allow_pickle=False)
+
+
+def _assert_written_as_reference(cohort, tmp):
+    C.cohort_to_csv(cohort, Path(tmp) / "bulk.csv")
+    _reference_cohort_to_csv(cohort, Path(tmp) / "rows.csv")
+    for suffix in ("", ".columns"):
+        assert ((Path(tmp) / f"bulk.csv{suffix}").read_bytes()
+                == (Path(tmp) / f"rows.csv{suffix}").read_bytes()), suffix
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_odd_cohorts())
+def test_cohort_csv_bytes_equal_the_csv_writer_reference(cohort):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_written_as_reference(cohort, tmp)
+
+
+def test_generated_cohort_bytes_equal_the_csv_writer_reference(tmp_path):
+    cohort, _ = _gen(n_patients=300, missing_rate=0.2)
+    assert np.isnan(cohort.continuous).any() and (cohort.categorical < 0).any()
+    quoted = C.Cohort.concat('si,"te', [cohort])
+    quoted.patient_id = np.char.add('si,"te-', quoted.patient_id)
+    for case in (cohort, quoted, cohort.take([])):
+        _assert_written_as_reference(case, tmp_path)
+
+
+class _HalfWrites:
+    """A file whose first write stops half way, on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["csv", "copy"])
+def test_a_failed_cohort_write_leaves_no_csv_cut_short(tmp_path, monkeypatch,
+                                                       failing):
+    old, _ = _gen(n_patients=30, missing_rate=0.2)
+    new, _ = _gen(n_patients=40, missing_rate=0.2)
+    path = tmp_path / "site.csv"
+
+    def planted(file, mode="r", *args, **kw):
+        fh = open(file, mode, *args, **kw)
+        is_copy = ".columns" in str(file)
+        return (_HalfWrites(fh) if "w" in mode and is_copy == (failing == "copy")
+                else fh)
+
+    if failing == "csv":
+        # a first write fails: neither file is left at its final path
+        with monkeypatch.context() as m:
+            m.setattr(C, "open", planted, raising=False)
+            with pytest.raises(OSError, match="No space left"):
+                C.cohort_to_csv(new, path)
+        assert list(tmp_path.iterdir()) == []
+    # over an earlier write, the CSV is whole, old or new, and its copy is
+    # current or missed
+    C.cohort_to_csv(old, path)
+    with monkeypatch.context() as m:
+        m.setattr(C, "open", planted, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            C.cohort_to_csv(new, path)
+    assert not [p for p in tmp_path.iterdir() if p.name.endswith(".partial")]
+    written = new if failing == "copy" else old
+    assert_cohorts_identical(C.cohort_from_csv(path, site_name="siteA"), written)
+    Path(C._copy_path(path)).unlink(missing_ok=True)
+    assert_cohorts_identical(C.cohort_from_csv(path, site_name="siteA"), written)
+
+
+def test_header_only_csv_without_a_line_end_reads_from_its_copy(tmp_path,
+                                                                monkeypatch):
+    empty = _gen(n_patients=20)[0].take([])
+    path = tmp_path / "c.csv"
+    C.cohort_to_csv(empty, path)
+    columns = C._read_copy(C._copy_path(path), path.read_bytes())
+    # the header alone, its line end dropped, with a copy current for it
+    path.write_bytes(path.read_bytes().rstrip(b"\r\n"))
+    assert b"\n" not in path.read_bytes()
+    digest = np.frombuffer(hashlib.sha256(path.read_bytes()).digest(), np.uint8)
+    Path(C._copy_path(path)).write_bytes(_npy(digest, *columns))
+    assert C._read_copy(C._copy_path(path), path.read_bytes()) is not None
+    columnar, parsed = _copy_then_parse(monkeypatch, path, site_name="siteA")
+    assert_cohorts_bitwise(columnar, parsed)
+    assert_cohorts_identical(columnar, empty)
 
 
 def test_records_view_matches_columns():

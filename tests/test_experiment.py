@@ -360,6 +360,38 @@ def test_scores_csv_bytes_equal_csv_writer(tmp_path_factory, ids, seed):
     assert (tmp / "bulk.csv").read_bytes() == (tmp / "rows.csv").read_bytes()
 
 
+def _reference_write_scores_csv(path, encounter_ids, probs, labels):
+    """The score file as formatted a column at a time by repr and str."""
+    fields = ([list(map(repr, c))
+               for c in np.asarray(probs, dtype=np.float64).T.tolist()]
+              + [list(map(str, c))
+                 for c in np.asarray(labels).astype(np.int64).T.tolist()])
+    header = ",".join(["encounter_id"]
+                      + [f"score_{o}" for o in OUTCOME_NAMES]
+                      + [f"label_{o}" for o in OUTCOME_NAMES])
+    rows = map(",".join, zip(map(E._csv_field, encounter_ids), *fields))
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([header, *rows, ""]))
+
+
+@pytest.mark.parametrize("nan_rate", [0.0, 0.05, 0.5, 1.0])
+def test_scores_csv_bytes_equal_the_column_writer(tmp_path, nan_rate):
+    rng = np.random.default_rng(22)
+    n = 445
+    probs = 1 / (1 + np.exp(-rng.normal(0, 8, (n, 4))))
+    probs[rng.random((n, 4)) < nan_rate] = np.nan
+    probs[:3, 1] = [1e-05, 1.0, 0.0]
+    labels = rng.integers(0, 2, (n, 4))
+    ids = np.array([f"si,te-p{i:07d}-e{i % 3}" if i % 7 == 0 else f"p{i}-e0"
+                    for i in range(n)])
+    for p, y in ((probs, labels), (probs.astype(np.float32), labels.astype(float)),
+                 (probs[:0], labels[:0])):
+        E.write_scores_csv(tmp_path / "bulk.csv", ids, p, y)
+        _reference_write_scores_csv(tmp_path / "ref.csv", ids, p, y)
+        assert ((tmp_path / "bulk.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+
 def test_scores_csv_quotes_ids_as_csv_writer_does(tmp_path):
     ids = ["si,te-e1", 'q"uote-e2', "line\nbreak-e3", "plain-e4"]
     probs, labels = np.full((4, 4), 0.5), np.ones((4, 4))
