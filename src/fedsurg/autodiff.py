@@ -3,10 +3,14 @@
 Everything is float64 and numpy-backed. A Tape records primitive ops in
 execution order; one backward pass over the tape yields a gradient for
 every leaf marked trainable. Only nodes that lead to a trainable leaf
-need a gradient, so a tape without trainable leaves (``predict``) never
-runs a backward. The op set is exactly what the risk network needs:
-linear layers, one gather over all embedding tables, relu/sigmoid,
-concatenation and binary cross-entropy.
+need a gradient, so a tape without trainable leaves never runs a
+backward. The ops are linear layers, one gather over all embedding
+tables, relu/sigmoid, concatenation and binary cross-entropy.
+
+Personalization's fine-tuning step runs on the tape. The risk network
+itself trains and predicts through ``model.RiskNet``, which makes the
+calls this tape would make for it, bit for bit, and shares the embedding
+index check (``embedding_rows``) and scatter (``embedding_grads``).
 """
 
 from __future__ import annotations
@@ -154,36 +158,62 @@ def sigmoid(tape: Tape, x: Node) -> Node:
     return tape._record(out, (x,), backward)
 
 
-def embeddings(tape: Tape, tables: Sequence[Node], indices) -> Node:
-    """Row gather from each table, the rows concatenated along axis 1.
-
-    ``indices`` is one integer matrix of shape (len(tables), B): row t
-    holds the batch's indices into table t.
-
-    Backward is one ``np.bincount`` over all tables flattened end to end:
-    the gradient entry of row b in column d of table t adds into flat bin
-    ``offset_t + idx_t[b] * D_t + d``. bincount adds in input order,
-    starting from 0.0, so each bin sums its rows in increasing b, exactly
-    as ``np.add.at`` scatters them.
-    """
+def embedding_rows(indices, vocab_sizes: Sequence[int]) -> np.ndarray:
+    """``indices`` as one ``intp`` matrix of shape (len(vocab_sizes), B),
+    row t holding the batch's indices into a table of ``vocab_sizes[t]``
+    rows. Anything else raises ShapeError, and an index outside its
+    table's vocabulary IndexError."""
     try:
         rows = np.asarray(indices)
     except ValueError as exc:  # a ragged nesting
         raise ShapeError(f"embedding indices are not one matrix: {exc}") from exc
-    if not tables or rows.ndim != 2 or rows.shape[0] != len(tables):
-        raise ShapeError(f"{len(tables)} embedding tables for an index array "
+    if not len(vocab_sizes) or rows.ndim != 2 or rows.shape[0] != len(vocab_sizes):
+        raise ShapeError(f"{len(vocab_sizes)} embedding tables for an index array "
                          f"of shape {rows.shape}")
     if not np.issubdtype(rows.dtype, np.integer):
         raise ShapeError("embedding indices must be integers")
     rows = rows.astype(np.intp, copy=False)
-    vocab = np.array([t.value.shape[0] for t in tables])[:, None]
+    vocab = np.array(vocab_sizes)[:, None]
     outside = (rows < 0) | (rows >= vocab)
     if outside.any():
         t, b = np.argwhere(outside)[0]
         raise IndexError(
             f"embedding index {rows[t, b]} outside vocabulary [0, {vocab[t, 0]}) "
             "(vocabulary mismatch between sites?)")
-    dims = [t.value.shape[1] for t in tables]
+    return rows
+
+
+def embedding_grads(rows: np.ndarray, shapes: Sequence[tuple[int, int]],
+                    g: np.ndarray) -> np.ndarray:
+    """The gradients of tables of ``shapes``, flattened end to end, from the
+    gradient ``g`` of their gathered rows (B x the tables' summed widths).
+
+    One ``np.bincount`` over all tables: the entry of row b in column d of
+    table t adds into flat bin ``offset_t + rows[t, b] * D_t + d``.
+    bincount adds in input order, starting from 0.0, so each bin sums its
+    rows in increasing b, exactly as ``np.add.at`` scatters them.
+    """
+    dims = [d for _, d in shapes]
+    sizes = [v * d for v, d in shapes]
+    starts = np.cumsum([0] + sizes[:-1])
+    # one row of bins per output column, so the weights are g transposed;
+    # within a bin the batch rows still come in increasing b
+    row_bins = rows * np.array(dims)[:, None] + starts[:, None]
+    within = np.concatenate([np.arange(d) for d in dims])
+    bins = np.repeat(row_bins, dims, axis=0) + within[:, None]
+    return np.bincount(bins.ravel(), weights=g.T.ravel(), minlength=sum(sizes))
+
+
+def embeddings(tape: Tape, tables: Sequence[Node], indices) -> Node:
+    """Row gather from each table, the rows concatenated along axis 1.
+
+    ``indices`` is one integer matrix of shape (len(tables), B): row t
+    holds the batch's indices into table t (see ``embedding_rows``).
+    Backward is ``embedding_grads``.
+    """
+    shapes = [t.value.shape for t in tables]
+    rows = embedding_rows(indices, [v for v, _ in shapes])
+    dims = [d for _, d in shapes]
     # filled in place: faster than np.concatenate over the gathered blocks
     out = np.empty((rows.shape[1], sum(dims)))
     col = 0
@@ -192,17 +222,10 @@ def embeddings(tape: Tape, tables: Sequence[Node], indices) -> Node:
         col += d
 
     def backward(g):
-        sizes = [t.value.size for t in tables]
-        starts = np.cumsum([0] + sizes[:-1])
-        # one row of bins per output column, so the weights are g transposed;
-        # within a bin the batch rows still come in increasing b
-        row_bins = rows * np.array(dims)[:, None] + starts[:, None]
-        within = np.concatenate([np.arange(d) for d in dims])
-        bins = np.repeat(row_bins, dims, axis=0) + within[:, None]
-        flat = np.bincount(bins.ravel(), weights=g.T.ravel(),
-                           minlength=sum(sizes))
-        return tuple(flat[s:s + n].reshape(t.value.shape)
-                     for s, n, t in zip(starts, sizes, tables))
+        flat = embedding_grads(rows, shapes, g)
+        starts = np.cumsum([0] + [v * d for v, d in shapes])
+        return tuple(flat[s:e].reshape(shape)
+                     for s, e, shape in zip(starts, starts[1:], shapes))
 
     return tape._record(out, tuple(tables), backward)
 
@@ -234,12 +257,3 @@ def bce_loss(tape: Tape, p: Node, y: np.ndarray) -> Node:
         return (g * d * inside,)
 
     return tape._record(out, (p,), backward)
-
-
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             lr: float) -> dict[str, np.ndarray]:
-    """One plain gradient step: w <- w - lr * g, for every key."""
-    if params.keys() != grads.keys():
-        missing = set(params) ^ set(grads)
-        raise KeyMismatchError(f"params/grads key mismatch: {sorted(missing)}")
-    return {k: params[k] - lr * grads[k] for k in params}

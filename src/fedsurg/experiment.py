@@ -26,8 +26,8 @@ from .cohort import (Cohort, FeatureSpec, GenerationReport, GroundTruthModel,
 from .federation import (ALGORITHMS, RoundRecord, SiteWorker, TrainConfig,
                          TrainResult, run_federation_inprocess, run_rounds,
                          validation_auroc)
-from .model import (ArchConfig, Batch, ModelParams, init_params, local_train,
-                    network, predict)
+from .model import (ArchConfig, Batch, ModelParams, RiskNet, init_params,
+                    local_train, predict)
 from .preprocess import (FitError, Preprocessor, SplitError, chronological_split,
                          shared_scaler)
 from .units import run_unit
@@ -305,9 +305,10 @@ def train_single(arch: ArchConfig, train_fm: Batch, val_fm: Batch,
     """
     rng = _names_rng(cfg.seed, names)
     label = "+".join(sorted(names))
+    net = RiskNet(arch)
 
     def one_epoch(t: int, params: ModelParams):
-        rep = local_train(params, network(arch), train_fm, cfg, rng)
+        rep = local_train(params, net, train_fm, cfg, rng)
         if not all(np.isfinite(v).all() for v in rep.params.values()):
             raise TrainingError(f"training on {label} left parameters that "
                                 f"are not finite after epoch {t}")
@@ -507,8 +508,9 @@ def score_unit(model: str, site: str, probs: np.ndarray, labels: np.ndarray,
 # --- artifact io ----------------------------------------------------------
 
 def write_history_csv(path, history: list[RoundRecord]) -> None:
+    """One row per round, through ``atomic_open``."""
     clients = sorted(history[0].train_loss) if history else []
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round"] + [f"val_auroc_{o}" for o in OUTCOME_NAMES]
                         + [f"train_loss_{c}" for c in clients])

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import metrics
 from .cohort import Cohort
-from .model import (ArchConfig, ModelParams, arch_fingerprint, init_params,
-                    local_train, network, predict)
+from .model import (ArchConfig, ModelParams, RiskNet, arch_fingerprint,
+                    init_params, local_train, predict)
 from .preprocess import Preprocessor, shared_scaler
 from .wire import (ChannelClosed, ClientUpdate, GlobalModel, GlobalScaler,
                    Hello, Message, ProtocolError, RoundAck, ScalerStats,
@@ -350,7 +350,7 @@ class SiteWorker:
         self.train = train
         self.val = val
         self.arch = arch
-        self.graph = network(arch)
+        self.net = RiskNet(arch)
         self.algo = algo
         self.cfg = cfg
         self.fit = fit
@@ -401,17 +401,17 @@ class SiteWorker:
             c_i = self._c_i if self._c_i is not None else zeros_like_params(x)
             c = msg.server_control
             offset = {k: c[k] - c_i[k] for k in c}
-            rep = local_train(x, self.graph, self._train_fm, self.cfg, rng,
+            rep = local_train(x, self.net, self._train_fm, self.cfg, rng,
                               grad_offset=offset)
             c_new = scaffold_client_finalize(
                 c_i, c, x, rep.params, rep.steps_taken, self.cfg.lr)
             control_delta = {k: c_new[k] - c_i[k] for k in c_i}
             self._c_i = c_new
         elif self.algo == "fedprox":
-            rep = local_train(x, self.graph, self._train_fm, self.cfg, rng,
+            rep = local_train(x, self.net, self._train_fm, self.cfg, rng,
                               prox=(self.cfg.mu, x))
         else:
-            rep = local_train(x, self.graph, self._train_fm, self.cfg, rng)
+            rep = local_train(x, self.net, self._train_fm, self.cfg, rng)
         return ClientUpdate(
             self.site_name, msg.round, rep.params, rep.n_samples,
             rep.steps_taken, control_delta, val_scores, rep.mean_loss)

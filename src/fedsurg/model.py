@@ -3,7 +3,8 @@
 Three type-specific branches (continuous, binary, high-cardinality via
 embeddings) merge into a shared layer that feeds four sigmoid outcome
 heads. Parameters live in an ordered dict of named float64 arrays whose
-layout is a pure function of the architecture config.
+layout is a pure function of the architecture config. ``RiskNet`` runs
+the network forward, and backward as ``local_train``'s step.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import expit
 
 from . import autodiff as ad
+from .cohort import atomic_open
 
 ModelParams = dict[str, np.ndarray]
 
@@ -123,61 +126,206 @@ def init_params(arch: ArchConfig, seed: int) -> ModelParams:
     return params
 
 
-def _build_leaves(tape: ad.Tape, params: ModelParams, trainable: bool) -> dict[str, ad.Node]:
-    return {k: tape.leaf(v, name=k, trainable=trainable) for k, v in params.items()}
+class _Activations:
+    """The forward pass's arrays for a batch of ``n`` rows. ``pre[i]`` is
+    branch i's linear output (continuous, binary, embeddings), ``cat``
+    the branches' relus side by side, ``z`` the heads' linear outputs as
+    rows and ``prob`` their sigmoids as columns."""
+
+    def __init__(self, arch: ArchConfig, n: int):
+        h, n_branches = arch.branch_hidden, 3 if arch.high_card_specs else 2
+        self.emb = np.empty((n, sum(d for _, d in arch.high_card_specs)))
+        self.pre = np.empty((n_branches, n, h))
+        self.cat = np.empty((n, n_branches * h))
+        self.pre_merge = np.empty((n, arch.merge_hidden))
+        self.merged = np.empty((n, arch.merge_hidden))
+        self.z = np.empty((arch.n_outcomes, n))
+        self.prob = np.empty((n, arch.n_outcomes))
 
 
-Graph = Callable[[ad.Tape, dict[str, ad.Node], Batch], ad.Node]
+class _Scratch:
+    """A training step's inputs and backward arrays for ``n`` rows."""
+
+    def __init__(self, arch: ArchConfig, n: int):
+        h, m, k = arch.branch_hidden, arch.merge_hidden, arch.n_outcomes
+        self.inputs = (np.empty((n, arch.n_continuous)),
+                       np.empty((n, arch.n_binary)))
+        self.labels = np.empty((n, k))
+        self.out = tuple(np.empty((n, k)) for _ in range(4))
+        self.inside = (np.empty((n, k), dtype=bool), np.empty((n, k), dtype=bool))
+        self.gz = np.empty((k, n))
+        self.gz_tmp = np.empty((k, n))
+        self.d_merged = np.empty((n, m))
+        self.d_tmp = np.empty((n, m))
+        self.mask_merge = np.empty((n, m), dtype=bool)
+        self.g_merge = np.empty((n, m))
+        self.d_cat = np.empty((n, (3 if arch.high_card_specs else 2) * h))
+        self.mask_branch = np.empty((n, h), dtype=bool)
+        self.g_branch = np.empty((n, h))
+        self.d_emb = np.empty((n, sum(d for _, d in arch.high_card_specs)))
 
 
-def merge_activation_from_nodes(tape: ad.Tape, nodes: dict[str, ad.Node],
-                                arch: ArchConfig, batch: Batch) -> ad.Node:
-    """Shared representation consumed by all four heads."""
-    x_cont = tape.leaf(batch.continuous)
-    x_bin = tape.leaf(batch.binary)
-    branches = [
-        ad.relu(tape, ad.linear(tape, x_cont, nodes["cont.W"], nodes["cont.b"])),
-        ad.relu(tape, ad.linear(tape, x_bin, nodes["bin.W"], nodes["bin.b"])),
-    ]
-    if arch.high_card_specs:
-        tables = [nodes[f"emb{i}.table"] for i in range(len(arch.high_card_specs))]
-        stacked = ad.embeddings(tape, tables, batch.high_card)
-        branches.append(ad.relu(tape, ad.linear(
-            tape, stacked, nodes["embproj.W"], nodes["embproj.b"])))
-    return ad.relu(tape, ad.linear(
-        tape, ad.concat(tape, branches), nodes["merge.W"], nodes["merge.b"]))
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    np.matmul(x, w, out=out)
+    np.add(out, b, out=out)
 
 
-def outcome_heads(tape: ad.Tape, nodes: dict[str, ad.Node], x: ad.Node,
-                  n_outcomes: int, prefix: str = "head") -> ad.Node:
-    """One linear -> sigmoid head per outcome on ``x``, the columns side by
-    side; head k reads ``<prefix>k.W`` and ``<prefix>k.b``."""
-    return ad.concat(tape, [ad.sigmoid(tape, ad.linear(
-        tape, x, nodes[f"{prefix}{k}.W"], nodes[f"{prefix}{k}.b"]))
-        for k in range(n_outcomes)])
+class RiskNet:
+    """The risk network of ``arch``, written out as numpy calls: the
+    forward pass, and as a ``local_train`` step the mean BCE of a
+    minibatch and its gradient.
 
+    They are the calls a reverse-mode tape (``fedsurg.autodiff``) makes
+    for this network, in its order and on its operand layouts, so their
+    bits are the tape's. Each matmul sees the operands the tape's does;
+    the heads' outer products, elementwise here, add into the merge
+    activation's gradient last head first, as the tape adds them; and
+    elementwise work the tape does per head is done for all heads at
+    once. A step's arrays are kept per batch size and filled through
+    ``out=``.
+    """
 
-def network(arch: ArchConfig) -> Graph:
-    """The risk network of ``arch`` as a graph over its parameter set."""
-    def graph(tape: ad.Tape, nodes: dict[str, ad.Node], batch: Batch) -> ad.Node:
-        merged = merge_activation_from_nodes(tape, nodes, arch, batch)
-        return outcome_heads(tape, nodes, merged, arch.n_outcomes)
-    return graph
+    def __init__(self, arch: ArchConfig):
+        self.arch = arch
+        self.tables = [(f"emb{t}.table", spec)
+                       for t, spec in enumerate(arch.high_card_specs)]
+        self.branches = ["cont", "bin"] + (["embproj"] if self.tables else [])
+        self.heads = [(f"head{k}.W", f"head{k}.b") for k in range(arch.n_outcomes)]
+        self._buffers: dict[int, tuple[_Activations, _Scratch]] = {}
 
+    def _rows(self, high_card) -> np.ndarray:
+        if not self.tables:
+            return np.empty((0, 0), dtype=np.intp)
+        return ad.embedding_rows(high_card, [v for _, (v, _) in self.tables])
 
-def forward(params: ModelParams, arch: ArchConfig, batch: Batch,
-            tape: ad.Tape | None = None, trainable: bool = False) -> ad.Node:
-    tape = tape if tape is not None else ad.Tape()
-    return network(arch)(tape, _build_leaves(tape, params, trainable), batch)
+    def _merge(self, params: ModelParams, acts: _Activations,
+               inputs: tuple[np.ndarray, np.ndarray], rows: np.ndarray) -> None:
+        h = self.arch.branch_hidden
+        xs = list(inputs)
+        if self.tables:
+            col = 0
+            for (name, (_, d)), r in zip(self.tables, rows):
+                acts.emb[:, col:col + d] = params[name][r]
+                col += d
+            xs.append(acts.emb)
+        for i, (name, x) in enumerate(zip(self.branches, xs)):
+            _linear(x, params[f"{name}.W"], params[f"{name}.b"], acts.pre[i])
+            np.maximum(acts.pre[i], 0.0, out=acts.cat[:, i * h:(i + 1) * h])
+        _linear(acts.cat, params["merge.W"], params["merge.b"], acts.pre_merge)
+        np.maximum(acts.pre_merge, 0.0, out=acts.merged)
+
+    def _heads(self, params: ModelParams, acts: _Activations) -> None:
+        for (w, b), z in zip(self.heads, acts.z):
+            _linear(acts.merged, params[w], params[b], z.reshape(-1, 1))
+        expit(acts.z.T, out=acts.prob)
+
+    def merge_activation(self, params: ModelParams, batch: Batch) -> _Activations:
+        """The activations of ``batch`` up to the merge activation, the
+        representation every head reads, in arrays of their own."""
+        acts = _Activations(self.arch, len(batch))
+        inputs = (np.asarray(batch.continuous, dtype=np.float64),
+                  np.asarray(batch.binary, dtype=np.float64))
+        self._merge(params, acts, inputs, self._rows(batch.high_card))
+        return acts
+
+    def forward(self, params: ModelParams, batch: Batch) -> _Activations:
+        """All the activations of ``batch``, in arrays of their own."""
+        acts = self.merge_activation(params, batch)
+        self._heads(params, acts)
+        return acts
+
+    def __call__(self, params: ModelParams, grads: ModelParams, data: Batch,
+                 rows: np.ndarray) -> float:
+        """The ``local_train`` step: the mean BCE of ``data``'s rows
+        ``rows``, with the gradient of each parameter written over its
+        array in ``grads``."""
+        n = len(rows)
+        if n not in self._buffers:
+            self._buffers[n] = (_Activations(self.arch, n), _Scratch(self.arch, n))
+        acts, s = self._buffers[n]
+        for x, into in zip((data.continuous, data.binary, data.labels),
+                           (*s.inputs, s.labels)):
+            np.take(x, rows, axis=0, out=into, mode="clip")
+        emb_rows = self._rows(data.high_card[:, rows])
+        self._merge(params, acts, s.inputs, emb_rows)
+        self._heads(params, acts)
+
+        # the mean BCE, on probabilities clamped to [eps, 1 - eps]
+        p, y, eps = acts.prob, s.labels, ad.BCE_EPS
+        clamped, a, b, c = s.out
+        np.clip(p, eps, 1.0 - eps, out=clamped)
+        np.log(clamped, out=a)
+        np.multiply(y, a, out=a)
+        np.subtract(1.0, y, out=b)
+        np.negative(clamped, out=c)
+        np.log1p(c, out=c)
+        np.multiply(b, c, out=c)
+        np.add(a, c, out=a)
+        np.negative(a, out=a)
+        loss = float(a.mean())
+
+        # its gradient as to p, 0 where the clamp holds p
+        np.subtract(clamped, y, out=a)
+        np.subtract(1.0, clamped, out=b)
+        np.multiply(clamped, b, out=b)
+        np.divide(a, b, out=a)
+        np.divide(a, y.size, out=a)
+        inside, below = s.inside
+        np.greater(p, eps, out=inside)
+        np.less(p, 1.0 - eps, out=below)
+        np.logical_and(inside, below, out=inside)
+        np.multiply(a, inside, out=a)
+        # through the heads' sigmoids, one row per head
+        np.multiply(a.T, p.T, out=s.gz)
+        np.subtract(1.0, p.T, out=s.gz_tmp)
+        np.multiply(s.gz, s.gz_tmp, out=s.gz)
+
+        last = len(self.heads) - 1
+        for k in range(last, -1, -1):
+            w, b = self.heads[k]
+            g = s.gz[k].reshape(-1, 1)
+            np.multiply(g, params[w].T, out=s.d_merged if k == last else s.d_tmp)
+            if k != last:
+                np.add(s.d_merged, s.d_tmp, out=s.d_merged)
+            np.matmul(acts.merged.T, g, out=grads[w])
+            np.sum(g, axis=0, out=grads[b])
+
+        np.greater(acts.pre_merge, 0.0, out=s.mask_merge)
+        np.multiply(s.d_merged, s.mask_merge, out=s.g_merge)
+        np.matmul(s.g_merge, params["merge.W"].T, out=s.d_cat)
+        np.matmul(acts.cat.T, s.g_merge, out=grads["merge.W"])
+        np.sum(s.g_merge, axis=0, out=grads["merge.b"])
+
+        h = self.arch.branch_hidden
+        for i, (name, x) in enumerate(zip(self.branches, (*s.inputs, acts.emb))):
+            np.greater(acts.pre[i], 0.0, out=s.mask_branch)
+            np.multiply(s.d_cat[:, i * h:(i + 1) * h], s.mask_branch, out=s.g_branch)
+            np.matmul(x.T, s.g_branch, out=grads[f"{name}.W"])
+            np.sum(s.g_branch, axis=0, out=grads[f"{name}.b"])
+        if self.tables:
+            # g_branch holds the embedding branch's gradient, the last one
+            np.matmul(s.g_branch, params["embproj.W"].T, out=s.d_emb)
+            flat = ad.embedding_grads(emb_rows, [spec for _, spec in self.tables],
+                                      s.d_emb)
+            start = 0
+            for name, (vocab, d) in self.tables:
+                grads[name][...] = flat[start:start + vocab * d].reshape(vocab, d)
+                start += vocab * d
+        return loss
 
 
 def predict(params: ModelParams, arch: ArchConfig, data: Batch,
             batch_size: int = 4096) -> np.ndarray:
-    """Risk probabilities, B x n_outcomes. Chunks are views of ``data``;
-    no leaf is trainable, so the tape runs no backward work."""
-    chunks = [forward(params, arch, data.take(slice(i, i + batch_size))).value
-              for i in range(0, len(data), batch_size)]
-    return np.concatenate(chunks, axis=0)
+    """Risk probabilities, B x n_outcomes, through ``RiskNet.forward`` on
+    chunks of ``batch_size`` rows; the chunks are views of ``data``."""
+    if not len(data):
+        raise ValueError("predict on an empty dataset")
+    net = RiskNet(arch)
+    out = np.empty((len(data), arch.n_outcomes))
+    for i in range(0, len(data), batch_size):
+        out[i:i + batch_size] = net.forward(
+            params, data.take(slice(i, i + batch_size))).prob
+    return out
 
 
 _CKPT_MAGIC = b"FSCK"
@@ -230,8 +378,9 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(path, params: ModelParams, arch: ArchConfig) -> None:
-    """Versioned binary checkpoint: header + named little-endian f64 tensors."""
-    with open(path, "wb") as fh:
+    """Versioned binary checkpoint: header + named little-endian f64 tensors,
+    written through ``atomic_open``."""
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", _CKPT_VERSION))
         fp = arch_fingerprint(arch).encode()
@@ -268,41 +417,61 @@ class TrainStepReport:
     mean_loss: float
 
 
-def local_train(params: ModelParams, graph: Graph, data: Batch, cfg,
+Step = Callable[[ModelParams, ModelParams, Batch, np.ndarray], float]
+
+
+def _flat(params: ModelParams, keys) -> np.ndarray:
+    return np.concatenate([np.ravel(params[k]) for k in keys], dtype=np.float64)
+
+
+def _views(flat: np.ndarray, params: ModelParams) -> ModelParams:
+    """Arrays shaped as ``params``'s, in its order, as views of ``flat``."""
+    out, start = {}, 0
+    for k, v in params.items():
+        out[k] = flat[start:start + v.size].reshape(v.shape)
+        start += v.size
+    return out
+
+
+def local_train(params: ModelParams, step: Step, data: Batch, cfg,
                 rng: np.random.Generator,
                 prox: tuple[float, ModelParams] | None = None,
                 grad_offset: ModelParams | None = None) -> TrainStepReport:
     """Minibatch SGD for cfg.local_epochs over the dataset.
 
-    Each step runs ``graph`` (``network(arch)`` for the risk network) on
-    ``params`` as trainable leaves and the minibatch, and descends the mean
-    BCE of its output; anything else the graph reads stays fixed.
-    ``prox`` adds mu * (w - anchor) to each gradient (FedProx).
-    ``grad_offset`` adds a fixed parameter-shaped correction to each
-    gradient (SCAFFOLD passes c - c_i).
+    ``step(params, grads, data, rows)`` returns the mean BCE of ``data``'s
+    rows ``rows`` at ``params``, and writes its gradient over each array
+    of ``grads``: a ``RiskNet`` for the risk network. The parameters and
+    their gradients are views of one flat buffer each, so every update is
+    one array op. ``prox`` adds mu * (w - anchor) to the gradient
+    (FedProx). ``grad_offset`` adds a fixed parameter-shaped correction to
+    it (SCAFFOLD passes c - c_i).
     """
     n = len(data)
     if n == 0:
         raise ValueError("local_train on an empty dataset")
     if prox is not None and prox[1].keys() != params.keys():
         raise ad.KeyMismatchError("prox anchor layout differs from params")
-    current = dict(params)
-    steps = 0
+    weights = _flat(params, params)
+    current = _views(weights, params)
+    grad = np.zeros_like(weights)   # a parameter the step does not reach keeps 0
+    grads = _views(grad, params)
+    scratch = np.empty_like(weights)
+    mu = 0.0 if prox is None else prox[0]
+    anchor = _flat(prox[1], params) if mu != 0.0 else None
+    offset = _flat(grad_offset, params) if grad_offset is not None else None
     losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = data.take(order[start:start + cfg.batch_size])
-            tape = ad.Tape()
-            nodes = _build_leaves(tape, current, trainable=True)
-            loss = ad.bce_loss(tape, graph(tape, nodes, batch), batch.labels)
-            grads = tape.gradients(loss)
-            if prox is not None and prox[0] != 0.0:
-                mu, anchor = prox
-                grads = {k: grads[k] + mu * (current[k] - anchor[k]) for k in grads}
-            if grad_offset is not None:
-                grads = {k: grads[k] + grad_offset[k] for k in grads}
-            current = ad.sgd_step(current, grads, cfg.lr)
-            steps += 1
-            losses.append(float(loss.value))
-    return TrainStepReport(current, n, steps, float(np.mean(losses)))
+            losses.append(step(current, grads, data,
+                               order[start:start + cfg.batch_size]))
+            if anchor is not None:
+                np.subtract(weights, anchor, out=scratch)
+                np.multiply(mu, scratch, out=scratch)
+                np.add(grad, scratch, out=grad)
+            if offset is not None:
+                np.add(grad, offset, out=grad)
+            np.multiply(cfg.lr, grad, out=scratch)
+            np.subtract(weights, scratch, out=weights)
+    return TrainStepReport(current, n, len(losses), float(np.mean(losses)))

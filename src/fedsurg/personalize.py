@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .model import (ArchConfig, Batch, CheckpointFormatError, Graph, ModelParams,
-                    _build_leaves, glorot_bound, load_checkpoint, local_train,
-                    merge_activation_from_nodes, outcome_heads, save_checkpoint)
+from .model import (ArchConfig, Batch, CheckpointFormatError, ModelParams, RiskNet,
+                    Step, glorot_bound, load_checkpoint, local_train, save_checkpoint)
 
 
 @dataclass
@@ -32,24 +31,42 @@ class PersonalizedModel:
         return {"surgeon.table": self.surgeon_table, **self.heads}
 
 
-def _graph(backbone: ModelParams, arch: ArchConfig) -> Graph:
-    """The personalized network over ``PersonalizedModel.trained`` leaves;
-    ``backbone`` enters every tape as frozen leaves."""
-    def graph(tape: ad.Tape, nodes: dict[str, ad.Node], batch: Batch) -> ad.Node:
-        if batch.surgeon is None:
-            raise ValueError("batch carries no surgeon ids")
-        frozen = _build_leaves(tape, backbone, trainable=False)
-        merged = merge_activation_from_nodes(tape, frozen, arch, batch)
-        emb = ad.embeddings(tape, [nodes["surgeon.table"]], batch.surgeon[None])
-        return outcome_heads(tape, nodes, ad.concat(tape, [merged, emb]),
-                             arch.n_outcomes, prefix="phead")
-    return graph
+def _probs(tape: ad.Tape, nodes: dict[str, ad.Node], net: RiskNet,
+           backbone: ModelParams, batch: Batch) -> ad.Node:
+    """The personalized heads over ``PersonalizedModel.trained`` leaves:
+    each reads the frozen backbone's merge activation, from ``net``,
+    beside the surgeon embedding."""
+    if batch.surgeon is None:
+        raise ValueError("batch carries no surgeon ids")
+    merged = tape.leaf(net.merge_activation(backbone, batch).merged)
+    emb = ad.embeddings(tape, [nodes["surgeon.table"]], batch.surgeon[None])
+    x = ad.concat(tape, [merged, emb])
+    return ad.concat(tape, [ad.sigmoid(tape, ad.linear(
+        tape, x, nodes[f"phead{k}.W"], nodes[f"phead{k}.b"]))
+        for k in range(net.arch.n_outcomes)])
+
+
+def _step(backbone: ModelParams, arch: ArchConfig) -> Step:
+    """The ``local_train`` step of fine-tuning, through the tape."""
+    net = RiskNet(arch)
+
+    def step(params: ModelParams, grads: ModelParams, data: Batch,
+             rows: np.ndarray) -> float:
+        batch = data.take(rows)
+        tape = ad.Tape()
+        nodes = {k: tape.leaf(v, name=k, trainable=True) for k, v in params.items()}
+        loss = ad.bce_loss(tape, _probs(tape, nodes, net, backbone, batch),
+                           batch.labels)
+        for k, g in tape.gradients(loss).items():
+            grads[k][...] = g
+        return float(loss.value)
+    return step
 
 
 def _forward(pm: PersonalizedModel, batch: Batch) -> tuple[ad.Tape, ad.Node]:
     tape = ad.Tape()
-    nodes = _build_leaves(tape, pm.trained(), trainable=False)
-    return tape, _graph(pm.backbone, pm.arch)(tape, nodes, batch)
+    nodes = {k: tape.leaf(v, name=k) for k, v in pm.trained().items()}
+    return tape, _probs(tape, nodes, RiskNet(pm.arch), pm.backbone, batch)
 
 
 def warm_start(global_params: ModelParams, arch: ArchConfig,
@@ -85,7 +102,7 @@ def fine_tune(global_params: ModelParams, arch: ArchConfig, train: Batch,
     """Train the surgeon table and new heads for ``epochs`` epochs of
     ``local_train``; the backbone is frozen."""
     pm = warm_start(global_params, arch, surgeon_vocab_size, embed_dim, seed)
-    rep = local_train(pm.trained(), _graph(pm.backbone, arch), train,
+    rep = local_train(pm.trained(), _step(pm.backbone, arch), train,
                       replace(cfg, local_epochs=epochs),
                       np.random.default_rng([seed, 0xF17E]))
     table = rep.params.pop("surgeon.table")

@@ -6,7 +6,7 @@ import pytest
 
 import fedsurg.autodiff as ad
 from fedsurg import federation as F
-from fedsurg.model import ArchConfig, Batch, ModelParams, forward, param_shapes
+from fedsurg.model import ArchConfig, Batch, ModelParams, param_shapes
 from fedsurg.wire import GlobalModel
 
 
@@ -71,9 +71,71 @@ def params_digest(params: ModelParams) -> str:
     return h.hexdigest()
 
 
+# --- the risk network on the autodiff tape: the oracle of model.RiskNet ----
+
+def merge_activation_from_nodes(tape: ad.Tape, nodes: dict[str, ad.Node],
+                                arch: ArchConfig, batch: Batch) -> ad.Node:
+    """Shared representation consumed by all four heads."""
+    x_cont = tape.leaf(batch.continuous)
+    x_bin = tape.leaf(batch.binary)
+    branches = [
+        ad.relu(tape, ad.linear(tape, x_cont, nodes["cont.W"], nodes["cont.b"])),
+        ad.relu(tape, ad.linear(tape, x_bin, nodes["bin.W"], nodes["bin.b"])),
+    ]
+    if arch.high_card_specs:
+        tables = [nodes[f"emb{i}.table"] for i in range(len(arch.high_card_specs))]
+        stacked = ad.embeddings(tape, tables, batch.high_card)
+        branches.append(ad.relu(tape, ad.linear(
+            tape, stacked, nodes["embproj.W"], nodes["embproj.b"])))
+    return ad.relu(tape, ad.linear(
+        tape, ad.concat(tape, branches), nodes["merge.W"], nodes["merge.b"]))
+
+
+def tape_forward(params: ModelParams, arch: ArchConfig, batch: Batch,
+                 tape: ad.Tape | None = None, trainable: bool = False) -> ad.Node:
+    """The four heads' probabilities, B x 4, as a node of ``tape``."""
+    tape = tape if tape is not None else ad.Tape()
+    nodes = {k: tape.leaf(v, name=k, trainable=trainable) for k, v in params.items()}
+    merged = merge_activation_from_nodes(tape, nodes, arch, batch)
+    return ad.concat(tape, [ad.sigmoid(tape, ad.linear(
+        tape, merged, nodes[f"head{k}.W"], nodes[f"head{k}.b"]))
+        for k in range(arch.n_outcomes)])
+
+
+def tape_loss_and_grads(params: ModelParams, arch: ArchConfig,
+                        batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
+    tape = ad.Tape()
+    loss = ad.bce_loss(tape, tape_forward(params, arch, batch, tape, True),
+                       batch.labels)
+    return float(loss.value), tape.gradients(loss)
+
+
+def tape_local_train(params: ModelParams, arch: ArchConfig, data: Batch, cfg,
+                     rng: np.random.Generator, prox=None, grad_offset=None
+                     ) -> tuple[ModelParams, int, float]:
+    """``model.local_train`` as it was written over the tape: a fresh
+    dictionary of parameters per step. Returns the parameters, the steps
+    taken and the mean loss."""
+    current = dict(params)
+    losses = []
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            batch = data.take(order[start:start + cfg.batch_size])
+            loss, grads = tape_loss_and_grads(current, arch, batch)
+            if prox is not None and prox[0] != 0.0:
+                mu, anchor = prox
+                grads = {k: grads[k] + mu * (current[k] - anchor[k]) for k in grads}
+            if grad_offset is not None:
+                grads = {k: grads[k] + grad_offset[k] for k in grads}
+            current = {k: current[k] - cfg.lr * grads[k] for k in current}
+            losses.append(loss)
+    return current, len(losses), float(np.mean(losses))
+
+
 def loss_on(params: ModelParams, arch: ArchConfig, data: Batch) -> float:
     tape = ad.Tape()
-    probs = forward(params, arch, data, tape=tape)
+    probs = tape_forward(params, arch, data, tape=tape)
     return float(ad.bce_loss(tape, probs, data.labels).value)
 
 

@@ -231,17 +231,3 @@ def test_bce_loss_value_oracle():
     loss = ad.bce_loss(tape, tape.leaf(p, name="p", trainable=True), y)
     expect = float(np.mean(-(y * np.log(p) + (1 - y) * np.log(1 - p))))
     assert loss.value == pytest.approx(expect, abs=1e-12)
-
-
-def test_sgd_step_key_mismatch():
-    params = {"a": np.zeros(2)}
-    with pytest.raises(ad.KeyMismatchError):
-        ad.sgd_step(params, {"b": np.zeros(2)}, 0.1)
-
-
-def test_sgd_step_oracle():
-    params = {"a": np.array([1.0, 2.0])}
-    grads = {"a": np.array([0.5, -1.0])}
-    out = ad.sgd_step(params, grads, 0.1)
-    assert np.allclose(out["a"], [0.95, 2.1], atol=1e-15)
-    assert np.all(params["a"] == [1.0, 2.0])  # input untouched

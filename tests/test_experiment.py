@@ -256,6 +256,40 @@ def test_history_csv_roundtrip(tmp_path):
     assert float(rows[2][5]) == 0.8
 
 
+def test_a_failed_history_write_leaves_no_csv_cut_short(tmp_path, monkeypatch):
+    history = [RoundRecord(t, (0.5, 0.6, 0.7, 0.8), {"a": 0.9}, 0.65)
+               for t in range(4)]
+    path = tmp_path / "h.csv"
+    writer = csv.writer
+
+    class HalfWritten:
+        """csv.writer whose third row fails, once two are written."""
+
+        def __init__(self, fh):
+            self.fh, self.rows, self.inner = fh, 0, writer(fh)
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 3:
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+            self.inner.writerow(row)
+
+    for earlier in (False, True):
+        if earlier:
+            E.write_history_csv(path, history[:1])
+        before = path.read_bytes() if earlier else None
+        with monkeypatch.context() as m:
+            m.setattr(E.csv, "writer", HalfWritten)
+            with pytest.raises(OSError, match="No space left"):
+                E.write_history_csv(path, history)
+        assert not [p for p in tmp_path.iterdir() if p.name.endswith(".partial")]
+        if earlier:
+            assert path.read_bytes() == before
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+
 def test_scores_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     probs = rng.uniform(0, 1, (5, 4))

@@ -258,7 +258,7 @@ def test_single_client_federated_equals_quantized_sgd():
     params = M.init_params(SMALL_ARCH, cfg.seed)
     for t in range(cfg.rounds):
         xq = quantize32(params)
-        rep = M.local_train(xq, M.network(SMALL_ARCH), fm, cfg,
+        rep = M.local_train(xq, M.RiskNet(SMALL_ARCH), fm, cfg,
                             F.client_rng(cfg.seed, "solo", t))
         params = quantize32(rep.params)
         diff = max(np.abs(trace[t][k] - params[k]).max() for k in params)

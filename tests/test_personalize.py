@@ -11,7 +11,8 @@ import fedsurg.autodiff as ad
 from fedsurg import model as M
 from fedsurg import personalize as P
 from fedsurg.federation import TrainConfig
-from conftest import SMALL_ARCH, params_digest, random_batch
+from conftest import (SMALL_ARCH, merge_activation_from_nodes, params_digest,
+                      random_batch)
 
 
 VOCAB = 12
@@ -81,7 +82,7 @@ def _reference_fine_tune(params, arch, train, cfg, seed, vocab, epochs):
             batch = train.take(order[start:start + cfg.batch_size])
             tape = ad.Tape()
             backbone = {k: tape.leaf(v, name=k) for k, v in params.items()}
-            merged = M.merge_activation_from_nodes(tape, backbone, arch, batch)
+            merged = merge_activation_from_nodes(tape, backbone, arch, batch)
             t = tape.leaf(table, name="surgeon.table", trainable=True)
             h = {k: tape.leaf(v, name=k, trainable=True) for k, v in heads.items()}
             combined = ad.concat(tape, [merged, ad.embeddings(
