@@ -86,7 +86,7 @@ def cmd_generate(cfg: exp.ExperimentConfig, args) -> int:
                  name, len(cohort),
                  ", ".join(f"{o}={prev[i]:.3f}"
                            for i, o in enumerate(OUTCOME_NAMES)))
-    with open(out / "manifest.json", "w") as fh:
+    with exp.atomic_open(out / "manifest.json") as fh:
         json.dump(manifest, fh, indent=1)
     print(f"wrote {len(manifest['sites'])} cohorts to {out / 'cohorts'}")
     return 0
@@ -111,7 +111,8 @@ def cmd_train(cfg: exp.ExperimentConfig, args) -> int:
     results = {}
     # Every unit is submitted first, in the order the checkpoints are
     # written, so that the workers keep the CPUs busy; each paradigm then
-    # waits for its own units. Nothing is written unless every unit succeeded.
+    # reads its own units' results from the pool. Nothing is written unless
+    # every unit succeeded.
     with UnitPool(usable_cpus()) as pool:
         if "local" in paradigms:
             for name in cfg.development_sites:
@@ -121,12 +122,13 @@ def cmd_train(cfg: exp.ExperimentConfig, args) -> int:
         for algo in algos:
             pool.submit(algo, exp.federated_unit, cfg, sites, algo)
         if "local" in paradigms:
-            for name, result in exp.run_local_paradigm(cfg, sites).items():
+            for name, result in exp.run_local_paradigm(cfg, sites,
+                                                       pool).items():
                 results[f"local_{name}"] = result
         if "central" in paradigms:
-            results["central"], _ = exp.run_central_paradigm(cfg, sites)
+            results["central"], _ = exp.run_central_paradigm(cfg, sites, pool)
         for algo in algos:
-            results[algo] = exp.run_federated_paradigm(cfg, sites, algo)
+            results[algo] = exp.run_federated_paradigm(cfg, sites, algo, pool)
     for name, result in results.items():
         _save_single(out, name, cfg.arch, result)
     log.info("trained %d models in worker processes, %d at once; "
@@ -168,7 +170,7 @@ def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
     checkpoints = _model_checkpoints(cfg, out)
     central_pp = (exp.central_preprocessor(cfg, sites)
                   if "central" in checkpoints else None)
-    units = []
+    cells = {}
     # The command only dispatches: each site's transforms and predictions
     # are one unit, `predict@<site>`, and each (model, site) cell is one
     # unit, submitted as soon as its site's probabilities are back, which
@@ -184,16 +186,14 @@ def cmd_evaluate(cfg: exp.ExperimentConfig, args) -> int:
             predictions = pool.result(f"predict@{site_name}")
             for model_name, (probs, labels, val_probs,
                              val_labels) in predictions.items():
-                unit = (model_name, site_name, probs, labels, val_probs,
-                        val_labels, cfg.n_boot, cfg.seed,
-                        out / "scores" / f"{model_name}__{site_name}.csv",
-                        sd.test.encounter_id)
-                pool.submit(f"{model_name}@{site_name}", exp.score_unit, *unit)
-                units.append(unit)
-        cells = {}
-        for unit in units:
-            cells[unit[:2]] = exp.evaluate_scores(*unit)
-            log.info("evaluated %s on %s", *unit[:2])
+                cells[model_name, site_name] = exp.evaluate_scores(
+                    model_name, site_name, probs, labels, val_probs,
+                    val_labels, cfg.n_boot, cfg.seed,
+                    out / "scores" / f"{model_name}__{site_name}.csv",
+                    sd.test.encounter_id, pool)
+        for key, unit in cells.items():
+            cells[key] = pool.result(unit)
+            log.info("evaluated %s on %s", *key)
     exp.write_report(out / "reports",
                      [c for key in sorted(cells) for c in cells[key]])
     print(f"report written to {out / 'reports' / 'report.json'}")
@@ -344,9 +344,9 @@ def main(argv=None) -> int:
         # checkpoint or history, or no report, is written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ChannelClosed, ProtocolError) as exc:
-        # a socket peer that could not be reached, went away or sent a bad
-        # frame (`serve-site`)
+    except (ChannelClosed, ProtocolError, FederationError) as exc:
+        # a socket peer that could not be reached, went away, sent a bad
+        # frame or a message out of protocol (`serve-site`)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,6 @@ from .model import (ArchConfig, Batch, ModelParams, RiskNet, init_params,
                     local_train, predict)
 from .preprocess import (FitError, Preprocessor, SplitError, chronological_split,
                          shared_scaler)
-from .units import run_unit
 
 
 class ConfigError(ValueError):
@@ -318,8 +317,8 @@ def train_single(arch: ArchConfig, train_fm: Batch, val_fm: Batch,
     return run_rounds(init_params(arch, cfg.seed), cfg, one_epoch)
 
 
-# Each model is one unit: its transforms and training, run through
-# ``run_unit`` so that `train` can run the units in worker processes.
+# Each model is one unit: its transforms and training, which `train`
+# submits to its pool; an in-process caller calls the unit directly.
 
 def _quiet_float_errors(unit):
     """``unit`` with numpy's overflow and invalid-value warnings off: a
@@ -358,15 +357,18 @@ def federated_unit(cfg: ExperimentConfig, sites: dict[str, SiteData],
                                     federated_train_config(cfg, algo), workers)
 
 
-def run_local_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
-                       ) -> dict[str, TrainResult]:
-    return {name: run_unit(f"local_{name}", local_unit, cfg, sites[name])
+# `train` reads its units' results from its ``units.UnitPool`` through
+# these calls, which perfbench captures; hence the arguments left unread.
+
+def run_local_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
+                       pool) -> dict[str, TrainResult]:
+    return {name: pool.result(f"local_{name}")
             for name in cfg.development_sites}
 
 
-def run_central_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData]
-                         ) -> tuple[TrainResult, Preprocessor]:
-    return run_unit("central", central_unit, cfg, sites)
+def run_central_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
+                         pool) -> tuple[TrainResult, Preprocessor]:
+    return pool.result("central")
 
 
 def federated_train_config(cfg: ExperimentConfig, algo: str) -> TrainConfig:
@@ -381,8 +383,8 @@ def site_worker(cfg: ExperimentConfig, sd: SiteData, algo: str) -> SiteWorker:
 
 
 def run_federated_paradigm(cfg: ExperimentConfig, sites: dict[str, SiteData],
-                           algo: str) -> TrainResult:
-    return run_unit(algo, federated_unit, cfg, sites, algo)
+                           algo: str, pool) -> TrainResult:
+    return pool.result(algo)
 
 
 # --- evaluation -----------------------------------------------------------
@@ -447,26 +449,31 @@ class EvalCell:
 
 def evaluate_scores(model: str, site: str, probs: np.ndarray,
                     labels: np.ndarray, val_probs: np.ndarray | None,
-                    val_labels: np.ndarray | None, n_boot: int,
-                    seed: int, scores_path: Path | None = None,
-                    encounter_ids: np.ndarray | None = None) -> list[EvalCell]:
-    """Per-outcome metrics with bootstrap CIs; threshold picked on the
-    validation split (Youden) and applied to the test split. With
-    ``scores_path``, the score file of ``encounter_ids`` is written once
-    the cells are computed. One unit, ``<model>@<site>``, run through
-    ``run_unit`` so that `evaluate` can score its cells in worker
-    processes."""
-    return run_unit(f"{model}@{site}", score_unit, model, site, probs, labels,
-                    val_probs, val_labels, n_boot, seed, scores_path,
-                    encounter_ids)
+                    val_labels: np.ndarray | None, n_boot: int, seed: int,
+                    scores_path: Path | None = None,
+                    encounter_ids: np.ndarray | None = None,
+                    pool=None) -> str | list[EvalCell]:
+    """Submit this cell's ``score_unit`` to ``pool`` as ``<model>@<site>``
+    and return that name; its result is the cell's ``EvalCell`` list.
+    Without a pool, that list (perfbench's cell check calls it so)."""
+    if pool is None:
+        return score_unit(model, site, probs, labels, val_probs, val_labels,
+                          n_boot, seed, scores_path, encounter_ids)
+    name = f"{model}@{site}"
+    pool.submit(name, score_unit, model, site, probs, labels, val_probs,
+                val_labels, n_boot, seed, scores_path, encounter_ids)
+    return name
 
 
 def score_unit(model: str, site: str, probs: np.ndarray, labels: np.ndarray,
                val_probs: np.ndarray | None, val_labels: np.ndarray | None,
                n_boot: int, seed: int, scores_path: Path | None = None,
                encounter_ids: np.ndarray | None = None) -> list[EvalCell]:
-    """What ``evaluate_scores`` runs as a unit: the eight bootstraps of
-    its four outcomes in one ``metrics.bootstrap_cis`` call."""
+    """Per-outcome metrics with bootstrap CIs, the eight bootstraps of
+    the four outcomes in one ``metrics.bootstrap_cis`` call; threshold
+    picked on the validation split (Youden) and applied to the test
+    split. With ``scores_path``, the score file of ``encounter_ids`` is
+    written once the cells are computed."""
     cell_seeds = [zlib.crc32(f"{model}|{site}|{outcome}".encode()) ^ seed
                   for outcome in OUTCOME_NAMES]
     boots = metrics.bootstrap_cis(

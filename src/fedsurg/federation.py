@@ -21,7 +21,7 @@ import numpy as np
 from . import metrics
 from .cohort import Cohort
 from .model import (ArchConfig, ModelParams, RiskNet, arch_fingerprint,
-                    init_params, local_train, predict)
+                    init_params, local_train, param_shapes, predict)
 from .preprocess import Preprocessor, shared_scaler
 from .wire import (ChannelClosed, ClientUpdate, GlobalModel, GlobalScaler,
                    Hello, Message, ProtocolError, RoundAck, ScalerStats,
@@ -71,19 +71,10 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-def _check_layouts(updates: list[ClientUpdate]) -> None:
-    keys = list(updates[0].params.keys())
-    for u in updates[1:]:
-        if list(u.params.keys()) != keys:
-            raise FederationError(
-                f"parameter layout mismatch from client {u.client_id!r}")
-
-
 def fedavg_aggregate(updates: list[ClientUpdate]) -> ModelParams:
     """Sample-size weighted elementwise average of client weights."""
     if not updates:
         raise FederationError("no updates to aggregate")
-    _check_layouts(updates)
     ordered = sorted(updates, key=lambda u: u.client_id)
     total = sum(u.n_samples for u in ordered)
     out = zeros_like_params(ordered[0].params)
@@ -137,7 +128,6 @@ def scaffold_server_update(state: ScaffoldState, x: ModelParams,
         raise FederationError(
             f"participation error: missing {sorted(registered - present)}, "
             f"unknown {sorted(present - registered)}")
-    _check_layouts(updates)
     ordered = sorted(updates, key=lambda u: u.client_id)
     n = len(ordered)
     new_x = dict(x)
@@ -259,6 +249,41 @@ def _require_finite(cid: str, what: str, arrays) -> None:
         raise FederationError(f"client {cid!r} sent {what} that are not finite")
 
 
+def _check_update(cid: str, t: int, u: ClientUpdate,
+                  shapes: dict[str, tuple[int, ...]], n_outcomes: int,
+                  scaffold: bool) -> None:
+    """FederationError naming site ``cid`` unless its round-``t`` update
+    is one the aggregate and the model selection can take: sent under its
+    own id, from at least one sample, with one finite validation AUROC
+    per outcome, and with parameters (and, under SCAFFOLD, a control
+    delta) of exactly the architecture's tensor names and ``shapes``,
+    every value finite."""
+    def fail(what):
+        raise FederationError(f"client {cid!r} sent round {t} {what}")
+    if u.client_id != cid:
+        fail(f"an update under client id {u.client_id!r}")
+    if u.n_samples < 1:
+        fail(f"an update of {u.n_samples} samples")
+    if (len(u.val_auroc) != n_outcomes
+            or not np.isfinite(np.asarray(u.val_auroc, dtype=float)).all()):
+        fail(f"validation AUROCs {u.val_auroc!r} where {n_outcomes} finite "
+             "ones are due")
+    parts = {"parameters": u.params}
+    if scaffold:
+        parts["control delta"] = u.control_delta
+    for what, tensors in parts.items():
+        if tensors is None:
+            fail(f"no {what}")
+        got = {k: np.shape(v) for k, v in tensors.items()}
+        bad = next((k for k in sorted(got.keys() | shapes.keys())
+                    if got.get(k) != shapes.get(k)), None)
+        if bad is not None:
+            fail(f"{what} with tensor {bad!r} of shape {got.get(bad)} where "
+                 f"the architecture has {shapes.get(bad)}")
+    _require_finite(cid, f"round {t} parameters",
+                    [v for tensors in parts.values() for v in tensors.values()])
+
+
 def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
                expected: list[str]) -> TrainResult:
     """Server side of one federated training run: handshake, the shared
@@ -283,6 +308,7 @@ def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
         by_id[cid].send(GlobalScaler(gmins, gmaxs))
 
     params = init_params(arch, cfg.seed)
+    shapes = param_shapes(arch)
     scaffold = (ScaffoldState.zeros(params, expected)
                 if algo == "scaffold" else None)
 
@@ -293,9 +319,8 @@ def coordinate(arch: ArchConfig, algo: str, cfg: TrainConfig, channels: list,
         updates = [_receive(by_id[cid], cid, ClientUpdate, t)
                    for cid in expected]
         for cid, u in zip(expected, updates):
-            _require_finite(cid, f"round {t} parameters",
-                            [*u.params.values(),
-                             *(u.control_delta or {}).values()])
+            _check_update(cid, t, u, shapes, arch.n_outcomes,
+                          scaffold is not None)
         val = np.mean([u.val_auroc for u in updates], axis=0)
         losses = {u.client_id: float(u.train_loss) for u in updates}
         if scaffold:

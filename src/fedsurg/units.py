@@ -4,8 +4,8 @@ A unit is one call ``fn(*args)`` under a name, such as one model's
 transforms and training, every model's predictions on one site, or the
 scoring of one model on one site.
 ``UnitPool(slots)`` keeps at most ``slots`` worker processes, forked at
-the pool's waits (``result`` and ``run``), never at a submit, and each
-runs many units, one at a time, in the order they were submitted. A
+the pool's waits (``result``), never at a submit, and each runs many
+units, one at a time, in the order they were submitted. A
 worker inherits, through the fork, every unit still queued when it was
 forked, so such a unit is sent down its task pipe as its name alone and
 its function and arguments are never pickled; a unit submitted after its
@@ -14,8 +14,8 @@ result comes back pickled and length-prefixed over the worker's result
 pipe. Every random stream of a unit is keyed by its own inputs, so a
 result does not depend on which process ran it or when.
 
-Inside ``with UnitPool(...)``, ``run_unit`` hands its call to the pool;
-outside, it calls ``fn(*args)`` in the calling process. Workers are
+A unit reaches a worker only through ``submit`` and ``result``; a caller
+that wants it in its own process calls ``fn(*args)``. Workers are
 forked, not spawned, so they start without a fresh interpreter's import
 cost; this needs Linux ``fork``, and forking happens only from the main
 thread, because a child forked from another thread inherits every lock
@@ -33,15 +33,11 @@ import selectors
 import signal
 import struct
 import threading
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
-
-_active: ContextVar["UnitPool | None"] = ContextVar("fedsurg_unit_pool",
-                                                    default=None)
 
 # the byte length of a pickled result, ahead of it on the result pipe
 _LENGTH = struct.Struct("<Q")
@@ -67,14 +63,6 @@ class UnitError(RuntimeError):
 def usable_cpus() -> int:
     """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0))
-
-
-def run_unit(name: str, fn: Callable, *args) -> Any:
-    """``fn(*args)``: in a worker of the active pool, or here if none is."""
-    pool = _active.get()
-    if pool is None:
-        return fn(*args)
-    return pool.run(name, fn, *args)
 
 
 @functools.cache
@@ -156,7 +144,8 @@ class UnitPool:
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         self.slots = slots
-        self._fns: dict[str, Callable] = {}
+        # every unit's name, in submission order
+        self._names: list[str] = []
         # units not yet sent to a worker, in submission order
         self._queued: dict[str, tuple[Callable, tuple]] = {}
         # a worker's result pipe -> the worker
@@ -164,20 +153,17 @@ class UnitPool:
         self._done: dict[str, tuple[bool, Any]] = {}
         self._failed = False
         self._selector = selectors.DefaultSelector()
-        self._token = None
 
     def __enter__(self) -> "UnitPool":
-        self._token = _active.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _active.reset(self._token)
         self.close()
 
     def submit(self, name: str, fn: Callable, *args) -> None:
-        if name in self._fns:
+        if name in self._names:
             raise ValueError(f"unit {name!r} was already submitted")
-        self._fns[name] = fn
+        self._names.append(name)
         self._queued[name] = (fn, args)
         if self._workers:
             # take in what has arrived, so that a worker done meanwhile is
@@ -185,23 +171,13 @@ class UnitPool:
             self._read(timeout=0)
             self._fill(fork=False)
 
-    def run(self, name: str, fn: Callable, *args) -> Any:
-        """The result of unit ``name``, submitted now unless it already
-        was, with the same function."""
-        if name not in self._fns:
-            self.submit(name, fn, *args)
-        elif self._fns[name] is not fn:
-            raise ValueError(f"unit {name!r} was submitted with another "
-                             "function")
-        return self.result(name)
-
     def result(self, name: str) -> Any:
-        if name not in self._fns:
+        if name not in self._names:
             raise KeyError(f"no unit {name!r} was submitted")
         while name not in self._done:
             if name in self._queued and self._failed:
                 # nothing more starts after a failure: report the first one
-                name = next(n for n in self._fns
+                name = next(n for n in self._names
                             if n in self._done and not self._done[n][0])
                 break
             self._wait()
@@ -253,8 +229,6 @@ class UnitPool:
                     os.close(w.results)
                 os.close(tasks_w)
                 os.close(results_r)
-                # a unit that calls run_unit runs the call in place
-                _active.set(None)
                 if set_threads is not None:
                     set_threads(max(1, usable_cpus() // self.slots))
                 _serve(tasks_r, results_w, self._queued)

@@ -338,10 +338,10 @@ def big(tmp_path_factory):
     sites = E.prepare_sites(cfg, cohorts)
 
     t0 = time.time()
-    local = E.run_local_paradigm(cfg, sites)
-    central, central_pp = E.run_central_paradigm(cfg, sites)
-    fedavg = E.run_federated_paradigm(cfg, sites, "fedavg")
-    scaffold = E.run_federated_paradigm(cfg, sites, "scaffold")
+    local = {n: E.local_unit(cfg, sites[n]) for n in cfg.development_sites}
+    central, central_pp = E.central_unit(cfg, sites)
+    fedavg = E.federated_unit(cfg, sites, "fedavg")
+    scaffold = E.federated_unit(cfg, sites, "scaffold")
     assert time.time() - t0 < 12 * 60
 
     names = cfg.development_sites + cfg.external_sites

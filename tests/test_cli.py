@@ -22,7 +22,7 @@ from fedsurg.cohort import cohort_from_csv
 from fedsurg.federation import SiteWorker
 from fedsurg.model import init_params, load_checkpoint, predict, save_checkpoint
 from fedsurg.preprocess import Preprocessor
-from fedsurg.wire import Hello, Shutdown
+from fedsurg.wire import GlobalModel, Hello, Shutdown
 from conftest import params_digest
 
 
@@ -477,6 +477,28 @@ class _ShutdownChannel:
         pass
 
 
+class _OutOfProtocolChannel(_ShutdownChannel):
+    """A coordinator that answers the site's Hello with a model."""
+
+    def recv(self):
+        return GlobalModel(0, {})
+
+
+def test_serve_site_protocol_failure_is_one_line(pipeline, tmp_path, capsys,
+                                                 monkeypatch):
+    # a FederationError once escaped main as a traceback
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+    monkeypatch.setattr(cli, "connect_socket",
+                        lambda host, port: _OutOfProtocolChannel())
+    capsys.readouterr()
+    assert cli.main(["serve-site", "--config", str(cfg_path),
+                     "--site", "a"]) == 1
+    assert capsys.readouterr().err == (
+        "error: site 'a' expected RoundAck, got GlobalModel\n")
+
+
 def test_serve_site_reads_only_its_own_cohort(tmp_path, monkeypatch):
     cfg_path, out = _config(tmp_path)
     assert cli.main(["generate", "--config", str(cfg_path)]) == 0
@@ -641,19 +663,34 @@ def test_training_overflow_is_one_stderr_line(tmp_path, argv):
     assert not list(out.rglob("*.ckpt"))
 
 
-def _trained_results(cfg_path, monkeypatch, slots):
-    """What `train` gets back from each paradigm with ``slots`` workers."""
-    seen = {}
-    monkeypatch.setattr(cli, "usable_cpus", lambda: slots)
-    for name in ("run_local_paradigm", "run_central_paradigm",
-                 "run_federated_paradigm"):
+_PARADIGMS = ("run_local_paradigm", "run_central_paradigm",
+              "run_federated_paradigm")
+
+
+def _captured(monkeypatch, names):
+    """The calls made from now on to ``exp``'s functions ``names``, each
+    as (name, positional arguments, result, process id), kept the way
+    ``perfbench``'s workloads capture them: a call with a keyword
+    argument is a TypeError."""
+    calls = []
+    for name in names:
         def kept(*args, _fn=getattr(exp, name), _name=name):
-            seen[_name, *args[2:]] = result = _fn(*args)
+            result = _fn(*args)
+            calls.append((_name, args, result, os.getpid()))
             return result
         monkeypatch.setattr(exp, name, kept)
+    return calls
+
+
+def _trained_results(cfg_path, monkeypatch, slots):
+    """What `train` gets back from each paradigm with ``slots`` workers,
+    keyed by the paradigm and its arguments between the sites and the
+    pool."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: slots)
+    calls = _captured(monkeypatch, _PARADIGMS)
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
     monkeypatch.undo()
-    return seen
+    return {(name, *args[2:-1]): result for name, args, result, _ in calls}
 
 
 def _summary(result):
@@ -688,6 +725,41 @@ def test_train_results_do_not_depend_on_worker_slots(pipeline, tmp_path,
             a, b = [a], [b]
         assert [_summary(r) for r in a] == [_summary(r) for r in b], key
     assert one["run_federated_paradigm", "scaffold"].scaffold is not None
+
+
+def test_train_hands_each_paradigm_call_the_results_it_writes(
+        pipeline, tmp_path, monkeypatch):
+    """The calls ``perfbench``'s train-all workload captures: each
+    ``run_*_paradigm`` once, in the command's own process, the algorithm
+    as argument 2 of the federated one, each returning the results whose
+    checkpoints and histories `train` writes."""
+    _, trained = pipeline
+    cfg_path, out = _config(tmp_path)
+    shutil.copytree(trained / "cohorts", out / "cohorts")
+    calls = _captured(monkeypatch, _PARADIGMS)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    assert [(name, *args[2:-1]) for name, args, _, _ in calls] == (
+        [("run_local_paradigm",), ("run_central_paradigm",)]
+        + [("run_federated_paradigm", a) for a in exp.ALGORITHMS])
+    assert {pid for *_, pid in calls} == {os.getpid()}
+    results = {}
+    for name, args, result, _ in calls:
+        if name == "run_local_paradigm":
+            results.update((f"local_{n}", r) for n, r in result.items())
+        elif name == "run_central_paradigm":
+            results["central"] = result[0]
+        else:
+            results[args[2]] = result
+    assert sorted(results) == sorted(
+        p.stem for p in (out / "checkpoints").iterdir())
+    arch = exp.load_config(cfg_path).arch
+    for model, result in results.items():
+        params, _ = load_checkpoint(out / "checkpoints" / f"{model}.ckpt", arch)
+        assert params_digest(params) == params_digest(result.best_params), model
+        exp.write_history_csv(tmp_path / "history.csv", result.history)
+        assert ((tmp_path / "history.csv").read_bytes()
+                == (out / "history" / f"{model}.csv").read_bytes()), model
+    assert results["scaffold"].scaffold is not None
 
 
 # --- `evaluate` scores each (model, site) cell as a unit ------------------
@@ -785,6 +857,19 @@ def test_compare_write_failure_leaves_no_compare_json(pipeline, tmp_path,
         "report.csv", "report.json"]
 
 
+def test_generate_write_failure_leaves_no_manifest(tmp_path, monkeypatch):
+    cfg_path, out = _config(tmp_path)
+
+    def failing(obj, fh, **kw):
+        fh.write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", failing)
+    with pytest.raises(OSError, match="No space left"):
+        cli.main(["generate", "--config", str(cfg_path)])
+    assert not [p for p in out.iterdir() if p.name.startswith("manifest.json")]
+
+
 @pytest.mark.parametrize("text", [b"seed: [1, 2\n", b"seed: 1\n  x: 2\n",
                                   b"a: 1\n\tb: 2\n", b"seed: \x80\n"],
                          ids=["unclosed", "indent", "tab", "not-utf8"])
@@ -796,6 +881,35 @@ def test_config_that_is_not_yaml_exits_2_with_one_line(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not valid YAML: ")
     assert err.count("\n") == 1
+
+
+def test_evaluate_queues_each_cell_with_its_validation_scores(
+        pipeline, tmp_path, monkeypatch):
+    """The calls ``perfbench``'s evaluate-report workload captures:
+    ``evaluate_scores`` once per (model, site) cell, in the command's own
+    process, with the cell's validation probabilities and labels as
+    positional arguments 4 and 5."""
+    _, trained = pipeline
+    cfg_path, out = _trained_copy(trained, tmp_path)
+    calls = _captured(monkeypatch, ("evaluate_scores",))
+    assert cli.main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert {pid for *_, pid in calls} == {os.getpid()}
+    got = {}
+    for _, args, _, _ in calls:
+        assert (args[0], args[1]) not in got
+        got[args[0], args[1]] = args[4], args[5]
+    cfg = exp.load_config(cfg_path)
+    sites = exp.prepare_sites(cfg, cli._load_cohorts(out, ["a", "b", "x"]))
+    checkpoints = cli._model_checkpoints(cfg, out)
+    central_pp = exp.central_preprocessor(cfg, sites)
+    want = {(model, name): (val_probs, val_labels)
+            for name, sd in sites.items()
+            for model, (_, _, val_probs, val_labels)
+            in exp.predict_unit(cfg, sd, checkpoints, central_pp).items()}
+    assert sorted(got) == sorted(want) and len(want) == 6 * 3
+    for key, (val_probs, val_labels) in want.items():
+        assert got[key][0].tobytes() == val_probs.tobytes(), key
+        assert got[key][1].tobytes() == val_labels.tobytes(), key
 
 
 def test_evaluate_outputs_do_not_depend_on_worker_slots(pipeline, tmp_path,

@@ -216,15 +216,15 @@ def test_central_on_single_site_equals_local(cfg, prepared):
     solo = E.config_from_dict(doc)
     cohorts = {n: c for n, (c, _) in E.generate_cohorts(solo).items()}
     sites = E.prepare_sites(solo, cohorts)
-    local = E.run_local_paradigm(solo, sites)["a"]
-    central, _pp = E.run_central_paradigm(solo, sites)
+    local = E.local_unit(solo, sites["a"])
+    central, _pp = E.central_unit(solo, sites)
     assert local.history == central.history
     assert params_digest(local.best_params) == params_digest(central.best_params)
 
 
 def test_federated_paradigm_runs(cfg, prepared):
     _, sites = prepared
-    result = E.run_federated_paradigm(cfg, sites, "fedavg")
+    result = E.federated_unit(cfg, sites, "fedavg")
     assert len(result.history) <= cfg.train.rounds
     assert set(result.history[0].train_loss) == {"a", "b"}
 
@@ -335,8 +335,8 @@ def test_a_failed_write_leaves_no_file_at_the_final_path(tmp_path, monkeypatch,
             E.write_scores_csv(path, [f"enc{i}" for i in range(5)], probs,
                                labels)
     else:
-        cell = E.evaluate_scores("m", "s", probs, labels, None, None,
-                                 n_boot=5, seed=0)[0]
+        cell = E.score_unit("m", "s", probs, labels, None, None,
+                            n_boot=5, seed=0)[0]
         bad = _Unwritable() if target == "report.json" else _NoFields()
         path = tmp_path / target
         with pytest.raises((OSError, AttributeError)):
@@ -443,8 +443,8 @@ def test_evaluate_scores_cells(cfg):
     n = 300
     probs = rng.uniform(0, 1, (n, 4))
     labels = (rng.uniform(0, 1, (n, 4)) < probs).astype(float)
-    cells = E.evaluate_scores("m", "s", probs, labels, probs, labels,
-                              n_boot=30, seed=0)
+    cells = E.score_unit("m", "s", probs, labels, probs, labels,
+                         n_boot=30, seed=0)
     assert [c.outcome for c in cells] == ["icu", "mv", "aki", "mortality"]
     for c in cells:
         assert c.auroc.ci_low <= c.auroc.point <= c.auroc.ci_high

@@ -40,13 +40,6 @@ def test_fedavg_aggregate_is_order_invariant():
     assert params_digest(g1) == params_digest(g2)
 
 
-def test_fedavg_aggregate_rejects_layout_mismatch():
-    bad = _update("b", 2, 10)
-    del bad.params["merge.W"]
-    with pytest.raises(F.FederationError):
-        F.fedavg_aggregate([_update("a", 1, 10), bad])
-
-
 def test_scaffold_client_finalize_oracle():
     # [DERIVED] Option II: c_i+ = c_i - c + (x - y) / (K * lr)
     c_i, c, x, y = _params(1), _params(2), _params(3), _params(4)
@@ -351,6 +344,61 @@ def test_non_finite_control_delta_names_the_site():
     with pytest.raises(F.FederationError,
                        match="'a' sent round 0 parameters that are not finite"):
         F.coordinate(SMALL_ARCH, "scaffold", cfg, channels, ["a", "b"])
+
+
+def _setter(field, value):
+    def tamper(msg):
+        setattr(msg, field, value(msg))
+    return tamper
+
+
+def _set_param(name, value):
+    def tamper(msg):
+        msg.params[name] = value(msg.params[name])
+    return tamper
+
+
+def _drop_param(name):
+    def tamper(msg):
+        del msg.params[name]
+    return tamper
+
+
+# each once reached the aggregate or the model selection, or ended in a
+# bare ValueError or TypeError; the tensor layout was checked, between the
+# updates only, by the aggregators
+@pytest.mark.parametrize("algo, tamper, message", [
+    ("fedavg", _set_param("merge.b", lambda b: b[:1]),
+     r"'b' sent round 0 parameters with tensor 'merge.b' of shape \(1,\) "
+     r"where the architecture has \(8,\)"),
+    ("fedavg", _set_param("merge.W", lambda w: w.T.copy()),
+     r"'b' sent round 0 parameters with tensor 'merge.W' of shape \(8, 18\) "
+     r"where the architecture has \(18, 8\)"),
+    ("fedavg", _drop_param("merge.W"),
+     r"'b' sent round 0 parameters with tensor 'merge.W' of shape None"),
+    ("scaffold", _setter("control_delta", lambda msg: None),
+     "'b' sent round 0 no control delta"),
+    ("fedavg", _setter("client_id", lambda msg: "a"),
+     "'b' sent round 0 an update under client id 'a'"),
+    ("fedavg", _setter("val_auroc", lambda msg: (np.nan, *msg.val_auroc[1:])),
+     r"'b' sent round 0 validation AUROCs \(nan, "),
+    ("fedavg", _setter("val_auroc", lambda msg: msg.val_auroc[:1]),
+     "'b' sent round 0 validation AUROCs .* where 4 finite ones are due"),
+    ("fedavg", _setter("n_samples", lambda msg: 0),
+     "'b' sent round 0 an update of 0 samples"),
+    ("fedavg", _setter("n_samples", lambda msg: -10**6),
+     "'b' sent round 0 an update of -1000000 samples"),
+], ids=["short-bias", "transposed-weight", "missing-tensor",
+        "no-control-delta", "other-client-id", "nan-val-auroc",
+        "one-val-auroc", "zero-samples", "negative-samples"])
+def test_bad_client_update_names_the_site(algo, tamper, message):
+    cfg = _cfg(rounds=2)
+    workers = _workers(algo, cfg)
+    channels = [F.LoopbackChannel(workers["a"]),
+                _Tampering(workers["b"], ClientUpdate, tamper)]
+    with pytest.raises(F.FederationError, match=message) as info:
+        F.coordinate(SMALL_ARCH, algo, cfg, channels, ["a", "b"])
+    assert not isinstance(info.value, F.ClientFailure)
 
 
 def test_handshake_rejects_unknown_client():

@@ -577,8 +577,8 @@ def test_evaluate_scores_without_usable_resamples(monkeypatch):
     rng = np.random.default_rng(2)
     probs = rng.uniform(0, 1, (80, 4))
     labels = (rng.uniform(0, 1, (80, 4)) < probs).astype(float)
-    cells = experiment.evaluate_scores("m", "s", probs, labels, probs, labels,
-                                       n_boot=5, seed=0)
+    cells = experiment.score_unit("m", "s", probs, labels, probs, labels,
+                                  n_boot=5, seed=0)
     for c in cells:
         for r in (c.auroc, c.auprc):
             assert np.isfinite(r.point)
@@ -763,7 +763,7 @@ def test_one_reused_generator_draws_each_stream_exactly(seed, n, k):
 
 
 def test_bootstrap_with_cell_seed_at_two_to_the_32():
-    """``evaluate_scores`` seeds AUPRC with its cell seed + 1, which is 2**32
+    """``score_unit`` seeds AUPRC with its cell seed + 1, which is 2**32
     when the cell seed is 2**32 - 1: that seed is two words, not one."""
     rng = np.random.default_rng(30)
     probs = rng.uniform(0, 1, (60, 4))
@@ -771,8 +771,8 @@ def test_bootstrap_with_cell_seed_at_two_to_the_32():
     # zlib.crc32(...) ^ seed is the cell seed of the first outcome
     crc = zlib.crc32(b"m|s|icu")
     seed = crc ^ (2**32 - 1)
-    cell = experiment.evaluate_scores("m", "s", probs, labels, None, None,
-                                      n_boot=12, seed=seed)[0]
+    cell = experiment.score_unit("m", "s", probs, labels, None, None,
+                                 n_boot=12, seed=seed)[0]
     for r, metric, cell_seed in ((cell.auroc, metrics.auroc, 2**32 - 1),
                                  (cell.auprc, metrics.auprc, 2**32)):
         want = _bootstrap_loop(probs[:, 0], labels[:, 0], metric, 12, cell_seed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fedsurg.federation import ClientFailure
-from fedsurg.units import UnitError, UnitPool, run_unit
+from fedsurg.units import UnitError, UnitPool
 
 
 def _square(x):
@@ -30,6 +30,12 @@ def _touch(path):
 
 def _client_failure():
     raise ClientFailure("a", ValueError("lost"))
+
+
+def _result(pool, name, fn, *args):
+    """Submit unit ``name`` to ``pool`` and wait for its result."""
+    pool.submit(name, fn, *args)
+    return pool.result(name)
 
 
 def _assert_reaped(pids):
@@ -106,10 +112,10 @@ def test_seven_units_on_two_slots_fork_two_workers(forked):
 
 def test_a_unit_submitted_after_the_fork_receives_its_arguments(forked):
     with UnitPool(1) as pool:
-        assert pool.run("first", _square, 2)["square"] == 4
+        assert _result(pool, "first", _square, 2)["square"] == 4
         # made after the worker was forked, and larger than a pipe's buffer
         late = np.random.default_rng(5).uniform(size=300_000)
-        back = pool.run("late", _echo, {"late": late, "name": "late"})
+        back = _result(pool, "late", _echo, {"late": late, "name": "late"})
     assert len(forked) == 1
     assert back["name"] == "late"
     assert back["late"].tobytes() == late.tobytes()
@@ -117,7 +123,7 @@ def test_a_unit_submitted_after_the_fork_receives_its_arguments(forked):
 
 def test_an_unpicklable_argument_is_that_units_error(forked):
     with UnitPool(1) as pool:
-        assert pool.run("first", _square, 2)["square"] == 4
+        assert _result(pool, "first", _square, 2)["square"] == 4
         # submitted once the worker exists, so its arguments must be pickled
         pool.submit("before", _square, 1)
         pool.submit("bad", _lock_state, threading.Lock())
@@ -151,7 +157,7 @@ def test_a_unit_queued_before_the_fork_is_never_pickled(forked):
             pool.submit(f"u{x}", lambda c: c.value + offset, _Counted(x))
         assert [pool.result(f"u{x}") for x in range(5)] == [10, 11, 12, 13, 14]
         # submitted after the fork: pickled, once, here
-        assert pool.run("late", _echo, _Counted(7)).value == 7
+        assert _result(pool, "late", _echo, _Counted(7)).value == 7
     assert _Counted.pickled == [os.getpid()]
     assert len(forked) == 2
 
@@ -179,21 +185,7 @@ def test_each_worker_caps_blas_at_its_share_of_the_cpus():
     cpus = len(os.sched_getaffinity(0))
     for slots in (1, 2):
         with UnitPool(slots) as pool:
-            assert pool.run("threads", _blas_threads) == max(1, cpus // slots)
-
-
-def test_run_unit_calls_here_without_a_pool_and_in_a_worker_with_one():
-    assert run_unit("u", _square, 3)["pid"] == os.getpid()
-    with UnitPool(1):
-        assert run_unit("u", _square, 3)["pid"] != os.getpid()
-    assert run_unit("u", _square, 3)["pid"] == os.getpid()
-
-
-def test_run_refuses_a_unit_submitted_with_another_function():
-    with UnitPool(1) as pool:
-        pool.submit("u", _square, 3)
-        with pytest.raises(ValueError, match="another function"):
-            pool.run("u", _touch, 3)
+            assert _result(pool, "threads", _blas_threads) == max(1, cpus // slots)
 
 
 def test_an_exception_pickle_cannot_rebuild_crosses_as_text():
@@ -258,3 +250,13 @@ def test_workers_are_forked_only_from_the_main_thread(forked):
 def test_slots_must_be_positive():
     with pytest.raises(ValueError, match="slots must be >= 1"):
         UnitPool(0)
+
+
+def test_a_name_is_submitted_once_and_only_a_submitted_one_is_read():
+    with UnitPool(1) as pool:
+        pool.submit("u", _square, 3)
+        with pytest.raises(ValueError, match="'u' was already submitted"):
+            pool.submit("u", _square, 4)
+        with pytest.raises(KeyError, match="no unit 'v' was submitted"):
+            pool.result("v")
+        assert pool.result("u")["square"] == 9
